@@ -202,7 +202,8 @@ impl DensityMatrixSimulator {
         self
     }
 
-    /// Sets the parallel/fusion configuration (builder style).
+    /// Sets the statevector engine configuration used for noiseless runs
+    /// (builder style).
     pub fn with_parallel(mut self, parallel: crate::parallel::ParallelConfig) -> Self {
         self.parallel = parallel;
         self
@@ -224,66 +225,45 @@ impl DensityMatrixSimulator {
         }
         let _span = qukit_obs::span!("aer.density_run", qubits = circuit.num_qubits());
         qukit_obs::counter_inc("qukit_aer_density_runs_total");
-        let ideal = self.noise.as_ref().is_none_or(NoiseModel::is_ideal);
-        if self.parallel.is_active() && ideal {
-            return self.run_fused(circuit);
-        }
-        let mut rho = DensityMatrix::new(circuit.num_qubits());
-        // Each gate rewrites the full `2^n × 2^n` operator.
-        let entries = 1u64 << (2 * circuit.num_qubits());
-        let mut tally = crate::simulator::GateTally::default();
-        for inst in circuit.instructions() {
-            match &inst.op {
-                Operation::Gate(g) if inst.condition.is_none() => {
-                    rho.apply_unitary(&g.matrix(), &inst.qubits);
-                    tally.record(entries);
-                    if let Some(noise) = &self.noise {
-                        if let Some(error) = noise.error_for(g.name(), &inst.qubits) {
-                            if error.num_qubits() == inst.qubits.len() {
-                                rho.apply_kraus(error.kraus_operators(), &inst.qubits);
-                            }
-                        }
-                    }
-                }
-                Operation::Barrier => {}
-                other => {
-                    return Err(AerError::UnsupportedInstruction {
-                        name: other.name().to_owned(),
-                        simulator: "density matrix simulator",
-                    })
-                }
-            }
-        }
-        tally.flush("qukit_aer_density_gates_total");
-        Ok(rho)
-    }
-
-    /// Noiseless fast path: fuse the gate stream once and run the chunked
-    /// two-sided kernels over the flat `4^n` array.
-    fn run_fused(&self, circuit: &QuantumCircuit) -> Result<DensityMatrix> {
-        let mut gates = Vec::new();
-        for inst in circuit.instructions() {
-            match &inst.op {
-                Operation::Gate(_) if inst.condition.is_none() => gates.push(inst.clone()),
-                Operation::Barrier => {}
-                other => {
-                    return Err(AerError::UnsupportedInstruction {
-                        name: other.name().to_owned(),
-                        simulator: "density matrix simulator",
-                    })
-                }
-            }
-        }
         let n = circuit.num_qubits();
         let mut rho = DensityMatrix::new(n);
         let mut tally = crate::simulator::GateTally::default();
-        crate::parallel::evolve_fused_density(
-            rho.rho.as_mut_slice(),
-            &gates,
-            n,
-            &self.parallel,
-            &mut tally,
-        )?;
+        if self.noise.as_ref().is_none_or(NoiseModel::is_ideal) {
+            // Noiseless: the two-sided kernels of the statevector engine
+            // over the flat `4^n` array.
+            crate::parallel::evolve_density(
+                rho.rho.as_mut_slice(),
+                circuit.instructions(),
+                n,
+                &self.parallel,
+                &mut tally,
+            )?;
+        } else {
+            // Each gate rewrites the full `2^n × 2^n` operator.
+            let entries = 1u64 << (2 * n);
+            for inst in circuit.instructions() {
+                match &inst.op {
+                    Operation::Gate(g) if inst.condition.is_none() => {
+                        rho.apply_unitary(&g.matrix(), &inst.qubits);
+                        tally.record(entries);
+                        if let Some(noise) = &self.noise {
+                            if let Some(error) = noise.error_for(g.name(), &inst.qubits) {
+                                if error.num_qubits() == inst.qubits.len() {
+                                    rho.apply_kraus(error.kraus_operators(), &inst.qubits);
+                                }
+                            }
+                        }
+                    }
+                    Operation::Barrier => {}
+                    other => {
+                        return Err(AerError::UnsupportedInstruction {
+                            name: other.name().to_owned(),
+                            simulator: "density matrix simulator",
+                        })
+                    }
+                }
+            }
+        }
         tally.flush("qukit_aer_density_gates_total");
         Ok(rho)
     }

@@ -1,8 +1,10 @@
-//! Parallel & fused statevector execution.
+//! The statevector engine.
 //!
-//! This module is the chunked multi-threaded kernel layer behind
-//! [`crate::simulator::QasmSimulator`] (sampled and trajectory paths),
-//! [`ParallelStatevectorSimulator`] and the density-matrix engine:
+//! Every ideal dense evolution in this crate runs through this chunked
+//! kernel layer: [`crate::simulator::QasmSimulator`] (evolve once, then
+//! sample), [`crate::simulator::StatevectorSimulator`] and the noiseless
+//! branch of the density-matrix engine. One worker thread is simply one
+//! [`ParallelConfig`] of it, not a separate code path.
 //!
 //! * **Chunking** — the `2^n` amplitude array is partitioned into
 //!   cache-sized chunks of `2^chunk_qubits` entries; each gate pass is
@@ -12,10 +14,14 @@
 //!   is written at most once per pass — by exactly one work unit — from
 //!   values read in that same pass, so the result is bit-identical for
 //!   every thread count and chunk size.
-//! * **Fusion** — instruction streams are pre-processed by
-//!   [`qukit_terra::fusion::fuse`], which merges adjacent gates on ≤3
-//!   shared qubits into one dense (or, when possible, diagonal) unitary so
-//!   the state is swept once per group instead of once per gate.
+//! * **Fusion** — states of at least [`FUSION_MIN_QUBITS`] index bits run
+//!   the gate stream through [`qukit_terra::fusion::fuse`] first, which
+//!   merges adjacent gates on ≤3 shared qubits into one dense (or, when
+//!   possible, diagonal) unitary so the state is swept once per group
+//!   instead of once per gate. Narrower states fit in cache, where the
+//!   merge costs more than it saves, so their gates are lowered straight
+//!   from the circuit. The choice depends on the width alone, so it never
+//!   varies with threads, chunk size or SIMD.
 //! * **SIMD lanes** — the butterfly, diagonal and dense kernels walk the
 //!   state two packed amplitudes at a time through [`crate::simd::F64x4`]
 //!   lane ops that LLVM autovectorizes; the lane formulas perform exactly
@@ -32,10 +38,11 @@
 //!   list without materializing a dense matrix. Tiles are disjoint, so
 //!   blocking changes neither values nor determinism.
 //! * **Batched sampling** — all shots are drawn from the terminal
-//!   distribution via a prefix-sum CDF and binary search, in fixed-size
-//!   batches with per-batch seeded RNG streams. Batch boundaries do not
-//!   depend on the worker count, so counts are reproducible for a fixed
-//!   seed regardless of `threads`.
+//!   distribution via a prefix-sum CDF, built in place in the amplitude
+//!   buffer, and binary search, in fixed-size batches with per-batch
+//!   seeded RNG streams. Batch boundaries do not depend on the worker
+//!   count, so counts are reproducible for a fixed seed regardless of
+//!   `threads`.
 //!
 //! Observability: `qukit_aer_parallel_chunks_total` (work units
 //! processed), `qukit_aer_parallel_worker_seconds` (per-worker busy time,
@@ -47,8 +54,6 @@
 use crate::error::{AerError, Result};
 use crate::simd::{complex_mul2, neg_im_vec, simd_default, F64x4};
 use crate::simulator::GateTally;
-use crate::statevector::Statevector;
-use qukit_terra::circuit::QuantumCircuit;
 use qukit_terra::complex::Complex;
 use qukit_terra::fusion::{controlled_form, fuse, FusedOp, FusedProgram, FusionConfig};
 use qukit_terra::instruction::{Instruction, Operation};
@@ -70,24 +75,31 @@ pub const MAX_THREADS: usize = 16;
 /// a seeded run yields identical counts at any parallelism level.
 pub(crate) const SHOT_BATCH: usize = 1024;
 
-/// Trajectories per batch on the shot-parallel trajectory path.
+/// Trajectories per batch on the trajectory path.
 pub(crate) const TRAJECTORY_BATCH: usize = 32;
 
-/// Configuration for the parallel execution layer.
+/// Smallest state width, in index bits, at which the gate stream is fused
+/// before lowering. Measured on random H/T/Rx/Rz/CX/CP circuits at one
+/// thread: fusion loses up to 10 bits (the state is cache-resident and
+/// the merge costs more than the sweeps it saves), is mixed at 11, and
+/// breaks even or wins from 12 bits up. The density engine's flat `4^n`
+/// array, measured separately, crosses over at the same width: fusion
+/// loses at 3–4 qubits (6–8 bits), breaks even at 5 and wins from 6.
+pub const FUSION_MIN_QUBITS: usize = 12;
+
+/// Configuration for the statevector engine.
 ///
 /// The [`Default`] implementation reads the process environment
-/// (`QUKIT_THREADS`, `QUKIT_CHUNK_QUBITS`, `QUKIT_FUSION`), so exporting
-/// `QUKIT_THREADS=4` routes every default-constructed simulator through
-/// the parallel path — this is how CI exercises it across the whole test
-/// suite.
+/// (`QUKIT_THREADS`, `QUKIT_CHUNK_QUBITS`, `QUKIT_SIMD`), so exporting
+/// `QUKIT_THREADS=4` splits every default-constructed simulator's work
+/// across four workers — this is how CI exercises multi-worker splitting
+/// across the whole test suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Worker threads (1 = serial kernels; clamped to [`MAX_THREADS`]).
+    /// Worker threads (clamped to [`MAX_THREADS`]).
     pub threads: usize,
     /// log2 of the chunk size in amplitudes.
     pub chunk_qubits: usize,
-    /// Whether the gate-fusion pre-pass runs before dispatch.
-    pub fusion: bool,
     /// Whether the SIMD lane kernels and cache-blocked phase traversal
     /// are used (`QUKIT_SIMD`, default on). `false` selects the scalar
     /// per-kernel sweeps, which produce bit-identical amplitudes — the
@@ -102,40 +114,18 @@ impl Default for ParallelConfig {
 }
 
 impl ParallelConfig {
-    /// Plain serial execution: one thread, no fusion. This reproduces the
-    /// legacy engine behavior exactly (same kernels, same RNG stream).
-    pub fn serial() -> Self {
-        Self { threads: 1, chunk_qubits: DEFAULT_CHUNK_QUBITS, fusion: false, simd: simd_default() }
-    }
-
-    /// Parallel execution with `threads` workers and fusion enabled.
+    /// Execution with `threads` workers and the default chunk size.
     pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-            chunk_qubits: DEFAULT_CHUNK_QUBITS,
-            fusion: true,
-            simd: simd_default(),
-        }
+        Self { threads: threads.max(1), chunk_qubits: DEFAULT_CHUNK_QUBITS, simd: simd_default() }
     }
 
-    /// Reads `QUKIT_THREADS` / `QUKIT_CHUNK_QUBITS` / `QUKIT_FUSION` /
-    /// `QUKIT_SIMD` from the environment; unset or unparsable variables
-    /// fall back to serial defaults (fusion defaults to on when
-    /// `QUKIT_THREADS` > 1; SIMD defaults to on).
+    /// Reads `QUKIT_THREADS` / `QUKIT_CHUNK_QUBITS` / `QUKIT_SIMD` from the
+    /// environment; unset or unparsable variables fall back to one thread,
+    /// [`DEFAULT_CHUNK_QUBITS`] and SIMD on.
     pub fn from_env() -> Self {
         let threads = env_usize("QUKIT_THREADS").unwrap_or(1).max(1);
         let chunk_qubits = env_usize("QUKIT_CHUNK_QUBITS").unwrap_or(DEFAULT_CHUNK_QUBITS);
-        let fusion = match std::env::var("QUKIT_FUSION") {
-            Ok(value) => parse_bool_flag(&value).unwrap_or(threads > 1),
-            Err(_) => threads > 1,
-        };
-        Self { threads, chunk_qubits, fusion, simd: simd_default() }
-    }
-
-    /// `true` when this config differs from the legacy serial engine, i.e.
-    /// the fused/parallel code paths should be used.
-    pub fn is_active(&self) -> bool {
-        self.threads > 1 || self.fusion
+        Self { threads, chunk_qubits, simd: simd_default() }
     }
 
     /// The worker count actually used for a state of `len` amplitudes:
@@ -153,11 +143,6 @@ impl ParallelConfig {
     /// Chunk size in amplitudes.
     pub(crate) fn chunk_len(&self) -> usize {
         1usize << self.chunk_qubits.clamp(1, 24)
-    }
-
-    /// The fusion configuration for this run.
-    pub(crate) fn fusion_config(&self) -> FusionConfig {
-        FusionConfig { enabled: self.fusion, max_qubits: 3 }
     }
 }
 
@@ -181,15 +166,6 @@ pub(crate) fn batch_seed(seed: u64, batch: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Execution statistics from one kernel sweep.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct ExecStats {
-    /// Work units (chunks) processed across all workers.
-    pub chunks: u64,
-    /// Sum of per-worker wall time inside the sweep.
-    pub worker_seconds: f64,
 }
 
 /// A 2×2 pair update, pre-classified by entry structure so the hot loop
@@ -673,14 +649,35 @@ impl RawAmps {
     }
 }
 
-/// Lowers a fused program into kernels over a state whose qubit `q` lives
-/// at bit `q + shift` (`shift`/`conjugate` support the density-matrix
-/// two-sided application). Errors on instructions a pure-state sweep
-/// cannot execute.
+/// Lowers one instruction into kernels over a state whose qubit `q`
+/// lives at bit `q + shift` (`shift`/`conjugate` support the
+/// density-matrix two-sided application). Barriers lower to nothing;
+/// anything a pure-state sweep cannot execute is rejected on behalf of
+/// `simulator`.
+fn lower_instruction(
+    inst: &Instruction,
+    shift: usize,
+    conjugate: bool,
+    simulator: &'static str,
+    kernels: &mut Vec<Kernel>,
+) -> Result<()> {
+    match &inst.op {
+        Operation::Gate(g) if inst.condition.is_none() => {
+            kernels.push(gate_kernel(&g.matrix(), &inst.qubits, shift, conjugate));
+            Ok(())
+        }
+        Operation::Barrier => Ok(()),
+        other => Err(AerError::UnsupportedInstruction { name: other.name().to_owned(), simulator }),
+    }
+}
+
+/// Lowers a fused program (see [`lower_instruction`] for `shift` and
+/// `conjugate`).
 fn lower_program(
     program: &FusedProgram,
     shift: usize,
     conjugate: bool,
+    simulator: &'static str,
     kernels: &mut Vec<Kernel>,
 ) -> Result<()> {
     let maybe_conj = |c: Complex| if conjugate { c.conj() } else { c };
@@ -704,25 +701,52 @@ fn lower_program(
             // conj(g₂), … on the column bits computes ρ·g₁†·g₂†… = ρU†.)
             FusedOp::Group { insts, .. } => {
                 for inst in insts {
-                    let gate = inst.as_gate().expect("fusion groups hold plain gates");
-                    kernels.push(gate_kernel(&gate.matrix(), &inst.qubits, shift, conjugate));
+                    lower_instruction(inst, shift, conjugate, simulator, kernels)?;
                 }
             }
-            FusedOp::Passthrough(inst) => match &inst.op {
-                Operation::Gate(g) if inst.condition.is_none() => {
-                    kernels.push(gate_kernel(&g.matrix(), &inst.qubits, shift, conjugate));
-                }
-                Operation::Barrier => {}
-                other => {
-                    return Err(AerError::UnsupportedInstruction {
-                        name: other.name().to_owned(),
-                        simulator: "parallel statevector kernels",
-                    })
-                }
-            },
+            FusedOp::Passthrough(inst) => {
+                lower_instruction(inst, shift, conjugate, simulator, kernels)?;
+            }
         }
     }
     Ok(())
+}
+
+/// Lowers a gate stream into kernels, once per `(shift, conjugate)` side,
+/// fusing it first when `fused` is set, and records the source gates in
+/// `tally` as sweeps over `entries` amplitudes.
+fn lower<'a, I>(
+    insts: I,
+    fused: bool,
+    sides: &[(usize, bool)],
+    simulator: &'static str,
+    entries: u64,
+    tally: &mut GateTally,
+) -> Result<Vec<Kernel>>
+where
+    I: IntoIterator<Item = &'a Instruction>,
+    I::IntoIter: Clone,
+{
+    let mut kernels = Vec::new();
+    if fused {
+        let program = fuse(insts, &FusionConfig::default());
+        for &(shift, conjugate) in sides {
+            lower_program(&program, shift, conjugate, simulator, &mut kernels)?;
+        }
+        for op in &program.ops {
+            tally.record_n(op.gates_fused() as u64, entries);
+        }
+    } else {
+        let insts = insts.into_iter();
+        for &(shift, conjugate) in sides {
+            for inst in insts.clone() {
+                lower_instruction(inst, shift, conjugate, simulator, &mut kernels)?;
+            }
+        }
+        let gates = kernels.len() / sides.len();
+        tally.record_n(gates as u64, entries * gates as u64);
+    }
+    Ok(kernels)
 }
 
 /// Lowers one unitary into the best kernel shape for it: single-qubit
@@ -788,9 +812,9 @@ fn dense_layout(qubits: &[usize]) -> (Vec<usize>, Vec<usize>) {
 /// union fits in a chunk-sized tile are applied *per tile* (every kernel of
 /// the phase runs over one cache-resident tile before the next tile is
 /// touched), turning k full-state sweeps into one. Kernels that cannot be
-/// tiled keep the legacy one-kernel-per-pass schedule.
+/// tiled keep the unblocked one-kernel-per-pass schedule.
 enum PhasePlan {
-    /// Legacy schedule: kernel `i` with its own work-unit split.
+    /// Unblocked schedule: kernel `i` with its own work-unit split.
     Direct(usize),
     /// All union bits below the chunk boundary: tiles are the contiguous
     /// `chunk_len` slices of the state, and the kernels' global bit
@@ -875,7 +899,7 @@ impl PhasePlan {
 /// grows while the union of kernel bit masks stays within `chunk_qubits`
 /// bits. Only multi-kernel groups are blocked (a lone kernel gains nothing
 /// from a tile pass), and blocking is skipped entirely for single-chunk
-/// states or with SIMD/blocking disabled — reproducing the legacy
+/// states or with SIMD/blocking disabled — reproducing the unblocked
 /// kernel-at-a-time schedule exactly.
 fn plan_phases(kernels: &[Kernel], len: usize, chunk_len: usize, simd: bool) -> Vec<PhasePlan> {
     if !simd || len <= chunk_len {
@@ -924,7 +948,7 @@ fn plan_phases(kernels: &[Kernel], len: usize, chunk_len: usize, simd: bool) -> 
     for (i, kernel) in kernels.iter().enumerate() {
         let kmask = kernel.bits();
         if (kmask.count_ones() as usize) > chunk_qubits {
-            // Wider than a tile (tiny test chunks): legacy schedule.
+            // Wider than a tile (tiny test chunks): unblocked schedule.
             flush(&mut plans, start, i, mask);
             plans.push(PhasePlan::Direct(i));
             start = i + 1;
@@ -946,23 +970,22 @@ fn plan_phases(kernels: &[Kernel], len: usize, chunk_len: usize, simd: bool) -> 
 /// Applies a kernel list to the amplitude array, serially or with a
 /// scoped barrier-synchronized worker pool, after planning the kernels
 /// into cache-blocked phases.
-fn apply_kernels(state: &mut [Complex], kernels: &[Kernel], config: &ParallelConfig) -> ExecStats {
+fn apply_kernels(state: &mut [Complex], kernels: &[Kernel], config: &ParallelConfig) {
     let len = state.len();
     let chunk_len = config.chunk_len();
     let threads = config.effective_threads(len);
     let simd = config.simd;
     let scratch_dim = kernels.iter().map(Kernel::dim).max().unwrap_or(1);
-    let mut stats = ExecStats::default();
     if kernels.is_empty() {
-        return stats;
+        return;
     }
     let plans = plan_phases(kernels, len, chunk_len, simd);
     let tile_len =
         if plans.iter().any(|p| matches!(p, PhasePlan::Tiles { .. })) { chunk_len } else { 0 };
 
     let amps = RawAmps { ptr: state.as_mut_ptr() };
+    let mut chunks = 0u64;
     if threads <= 1 {
-        let start = Instant::now();
         let mut scratch = vec![Complex::ZERO; scratch_dim];
         let mut tile = vec![Complex::ZERO; tile_len];
         for plan in &plans {
@@ -981,10 +1004,9 @@ fn apply_kernels(state: &mut [Complex], kernels: &[Kernel], config: &ParallelCon
                         &mut tile,
                     )
                 };
-                stats.chunks += 1;
+                chunks += 1;
             }
         }
-        stats.worker_seconds = start.elapsed().as_secs_f64();
     } else {
         let barrier = Barrier::new(threads);
         let amps_ref = &amps;
@@ -1031,9 +1053,8 @@ fn apply_kernels(state: &mut [Complex], kernels: &[Kernel], config: &ParallelCon
                 .collect();
             handles.into_iter().map(|h| h.join().expect("worker panicked")).collect::<Vec<_>>()
         });
-        for (chunks, seconds) in results {
-            stats.chunks += chunks;
-            stats.worker_seconds += seconds;
+        for (worker_chunks, seconds) in results {
+            chunks += worker_chunks;
             qukit_obs::observe_duration(
                 "qukit_aer_parallel_worker_seconds",
                 std::time::Duration::from_secs_f64(seconds),
@@ -1063,76 +1084,117 @@ fn apply_kernels(state: &mut [Complex], kernels: &[Kernel], config: &ParallelCon
         qukit_obs::counter_add("qukit_aer_blocked_phases_total", blocked);
         qukit_obs::counter_add("qukit_aer_blocked_tiles_total", tiles);
     }
-    qukit_obs::counter_add("qukit_aer_parallel_chunks_total", stats.chunks);
-    stats
+    qukit_obs::counter_add("qukit_aer_parallel_chunks_total", chunks);
 }
 
-/// Fuses and applies a stream of plain gate instructions to the state,
-/// recording per-gate tallies. Returns the lowered op count.
-pub(crate) fn evolve_fused(
+/// Applies a stream of unitary instructions (gates and barriers) to the
+/// state, fusing it first when the state is at least
+/// [`FUSION_MIN_QUBITS`] wide, and records per-gate tallies.
+///
+/// # Errors
+///
+/// Rejects measurements, resets and conditioned gates on behalf of the
+/// statevector simulator.
+pub(crate) fn evolve<'a, I>(
     amps: &mut [Complex],
-    gates: &[Instruction],
+    insts: I,
     config: &ParallelConfig,
     tally: &mut GateTally,
-) -> Result<usize> {
-    let program = fuse(gates, &config.fusion_config());
-    let mut kernels = Vec::with_capacity(program.ops.len());
-    lower_program(&program, 0, false, &mut kernels)?;
-    let dim = amps.len() as u64;
-    for op in &program.ops {
-        tally.record_n(op.gates_fused() as u64, dim);
-    }
-    apply_kernels(amps, &kernels, config);
-    Ok(kernels.len())
+) -> Result<()>
+where
+    I: IntoIterator<Item = &'a Instruction>,
+    I::IntoIter: Clone,
+{
+    let width = amps.len().trailing_zeros() as usize;
+    evolve_with(amps, insts, width >= FUSION_MIN_QUBITS, config, tally)
 }
 
-/// Applies a fused program two-sidedly to a flat density matrix
-/// (`ρ → UρU†`): `U` on the row-bit copy of each qubit and `conj(U)` on
-/// the column bits, reusing the same chunked kernels on the `4^n` array.
-pub(crate) fn evolve_fused_density(
+/// [`evolve`] with the fusion choice made by the caller.
+fn evolve_with<'a, I>(
+    amps: &mut [Complex],
+    insts: I,
+    fused: bool,
+    config: &ParallelConfig,
+    tally: &mut GateTally,
+) -> Result<()>
+where
+    I: IntoIterator<Item = &'a Instruction>,
+    I::IntoIter: Clone,
+{
+    let entries = amps.len() as u64;
+    let kernels = lower(insts, fused, &[(0, false)], "statevector simulator", entries, tally)?;
+    apply_kernels(amps, &kernels, config);
+    Ok(())
+}
+
+/// Applies a stream of unitary instructions two-sidedly to a flat
+/// density matrix (`ρ → UρU†`): `U` on the row-bit copy of each qubit and
+/// `conj(U)` on the column bits, reusing the same chunked kernels on the
+/// `4^n` array (whose `2n` index bits decide fusion).
+pub(crate) fn evolve_density<'a, I>(
     rho_flat: &mut [Complex],
-    gates: &[Instruction],
+    insts: I,
     num_qubits: usize,
     config: &ParallelConfig,
     tally: &mut GateTally,
-) -> Result<()> {
-    let program = fuse(gates, &config.fusion_config());
-    let mut kernels = Vec::with_capacity(program.ops.len() * 2);
+) -> Result<()>
+where
+    I: IntoIterator<Item = &'a Instruction>,
+    I::IntoIter: Clone,
+{
+    let fused = 2 * num_qubits >= FUSION_MIN_QUBITS;
+    evolve_density_with(rho_flat, insts, num_qubits, fused, config, tally)
+}
+
+/// [`evolve_density`] with the fusion choice made by the caller.
+fn evolve_density_with<'a, I>(
+    rho_flat: &mut [Complex],
+    insts: I,
+    num_qubits: usize,
+    fused: bool,
+    config: &ParallelConfig,
+    tally: &mut GateTally,
+) -> Result<()>
+where
+    I: IntoIterator<Item = &'a Instruction>,
+    I::IntoIter: Clone,
+{
+    // Row side: qubit q lives at bit q + n of the flat index; column
+    // side: conj(U) on bits 0..n.
+    let sides = [(num_qubits, false), (0, true)];
     let entries = rho_flat.len() as u64;
-    for op in &program.ops {
-        tally.record_n(op.gates_fused() as u64, entries);
-    }
-    // Row side: qubit q lives at bit q + n of the flat index.
-    lower_program(&program, num_qubits, false, &mut kernels)?;
-    // Column side: conj(U) on bits 0..n.
-    lower_program(&program, 0, true, &mut kernels)?;
+    let kernels = lower(insts, fused, &sides, "density matrix simulator", entries, tally)?;
     apply_kernels(rho_flat, &kernels, config);
     Ok(())
 }
 
-/// Builds the probability CDF of a terminal state (one prefix-sum pass).
-pub(crate) fn probability_cdf(amps: &[Complex]) -> Vec<f64> {
-    let mut cdf = Vec::with_capacity(amps.len());
+/// Draws `shots` basis-state indices from the terminal state in `amps`
+/// in fixed-size batches (binary search over the probability CDF).
+///
+/// The CDF is built in place: the state is dead once sampling starts, so
+/// the real part of `amps[i]` is overwritten with `Σ_{j≤i} |amp_j|²` and
+/// no second `2^n` array is allocated. Batch `b` uses an RNG stream
+/// seeded from `(seed, b)`, and batch boundaries are independent of the
+/// worker count, so the returned indices are identical for any `threads`
+/// value.
+pub(crate) fn sample_terminal(
+    amps: &mut [Complex],
+    shots: usize,
+    seed: u64,
+    threads: usize,
+) -> Vec<usize> {
     let mut acc = 0.0f64;
-    for amp in amps {
+    for amp in amps.iter_mut() {
         acc += amp.norm_sqr();
-        cdf.push(acc);
+        amp.re = acc;
     }
-    cdf
-}
-
-/// Draws `shots` basis-state indices from a terminal distribution in
-/// fixed-size batches (binary search over the CDF). Batch `b` uses an RNG
-/// stream seeded from `(seed, b)`, and batch boundaries are independent of
-/// the worker count, so the returned indices are identical for any
-/// `threads` value.
-pub(crate) fn sample_indices(cdf: &[f64], shots: usize, seed: u64, threads: usize) -> Vec<usize> {
+    let cdf = &*amps;
     let mut out = vec![0usize; shots];
     let fill = |batch: usize, slots: &mut [usize]| {
         let mut rng = StdRng::seed_from_u64(batch_seed(seed, batch as u64));
         for slot in slots {
             let r: f64 = rng.gen();
-            *slot = cdf.partition_point(|&c| c <= r).min(cdf.len() - 1);
+            *slot = cdf.partition_point(|c| c.re <= r).min(cdf.len() - 1);
         }
     };
     let batches = shots.div_ceil(SHOT_BATCH).max(1);
@@ -1148,90 +1210,6 @@ pub(crate) fn sample_indices(cdf: &[f64], shots: usize, seed: u64, threads: usiz
         });
     }
     out
-}
-
-/// Exact final-state simulator for unitary circuits running the fused
-/// chunked kernels — the parallel counterpart of
-/// [`crate::simulator::StatevectorSimulator`], and the fifth engine in the
-/// conformance differential set.
-///
-/// # Examples
-///
-/// ```
-/// use qukit_aer::parallel::{ParallelConfig, ParallelStatevectorSimulator};
-/// use qukit_terra::circuit::QuantumCircuit;
-///
-/// # fn main() -> Result<(), qukit_aer::error::AerError> {
-/// let mut ghz = QuantumCircuit::new(3);
-/// ghz.h(0).unwrap();
-/// ghz.cx(0, 1).unwrap();
-/// ghz.cx(1, 2).unwrap();
-/// let sim = ParallelStatevectorSimulator::with_config(ParallelConfig::with_threads(2));
-/// let state = sim.run(&ghz)?;
-/// assert!((state.amplitude(0).norm_sqr() - 0.5).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParallelStatevectorSimulator {
-    config: ParallelConfig,
-}
-
-impl ParallelStatevectorSimulator {
-    /// Creates the simulator with the environment-derived configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates the simulator with an explicit configuration.
-    pub fn with_config(config: ParallelConfig) -> Self {
-        Self { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ParallelConfig {
-        &self.config
-    }
-
-    /// Computes the exact final state of a unitary circuit.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::simulator::StatevectorSimulator::run`].
-    pub fn run(&self, circuit: &QuantumCircuit) -> Result<Statevector> {
-        if circuit.num_qubits() > 30 {
-            return Err(AerError::TooManyQubits { requested: circuit.num_qubits(), max: 30 });
-        }
-        let _span = qukit_obs::span!(
-            "aer.parallel_statevector_run",
-            qubits = circuit.num_qubits(),
-            threads = self.config.threads,
-            fusion = if self.config.fusion { "on" } else { "off" },
-            simd = if self.config.simd { "on" } else { "off" },
-        );
-        qukit_obs::counter_inc("qukit_aer_parallel_runs_total");
-        let mut gates: Vec<Instruction> = Vec::new();
-        for inst in circuit.instructions() {
-            match &inst.op {
-                Operation::Gate(_) if inst.condition.is_none() => gates.push(inst.clone()),
-                Operation::Barrier => {}
-                other => {
-                    return Err(AerError::UnsupportedInstruction {
-                        name: other.name().to_owned(),
-                        simulator: "parallel statevector simulator",
-                    })
-                }
-            }
-        }
-        let mut amps = vec![Complex::ZERO; 1usize << circuit.num_qubits()];
-        amps[0] = Complex::ONE;
-        let mut tally = GateTally::default();
-        evolve_fused(&mut amps, &gates, &self.config, &mut tally)?;
-        tally.flush("qukit_aer_statevector_gates_total");
-        let mut state = Statevector::from_amplitudes(amps);
-        state.apply_global_phase(circuit.global_phase());
-        Ok(state)
-    }
 }
 
 #[cfg(test)]
@@ -1267,11 +1245,9 @@ mod tests {
         let mut state = vec![Complex::ZERO; 1 << n];
         state[0] = Complex::ONE;
         for inst in gates {
-            qukit_terra::reference::apply_gate(
-                &mut state,
-                &inst.as_gate().unwrap().matrix(),
-                &inst.qubits,
-            );
+            if let Some(gate) = inst.as_gate() {
+                qukit_terra::reference::apply_gate(&mut state, &gate.matrix(), &inst.qubits);
+            }
         }
         state
     }
@@ -1286,11 +1262,11 @@ mod tests {
                     for simd in [false, true] {
                         // Tiny chunks force real multi-chunk scheduling even
                         // on small states.
-                        let config = ParallelConfig { threads, chunk_qubits: 2, fusion, simd };
+                        let config = ParallelConfig { threads, chunk_qubits: 2, simd };
                         let mut amps = vec![Complex::ZERO; 1 << n];
                         amps[0] = Complex::ONE;
                         let mut tally = GateTally::default();
-                        evolve_fused(&mut amps, &gates, &config, &mut tally).unwrap();
+                        evolve_with(&mut amps, &gates, fusion, &config, &mut tally).unwrap();
                         for (a, e) in amps.iter().zip(&expect) {
                             assert!(
                                 (*a - *e).norm() < 1e-10,
@@ -1314,11 +1290,11 @@ mod tests {
         let expect = reference_state(&gates, n);
         for threads in [1usize, 3] {
             for fusion in [false, true] {
-                let config = ParallelConfig { threads, chunk_qubits: 1, fusion, simd: true };
+                let config = ParallelConfig { threads, chunk_qubits: 1, simd: true };
                 let mut amps = vec![Complex::ZERO; 1 << n];
                 amps[0] = Complex::ONE;
                 let mut tally = GateTally::default();
-                evolve_fused(&mut amps, &gates, &config, &mut tally).unwrap();
+                evolve_with(&mut amps, &gates, fusion, &config, &mut tally).unwrap();
                 for (a, e) in amps.iter().zip(&expect) {
                     assert!(
                         (*a - *e).norm() < 1e-12,
@@ -1334,11 +1310,11 @@ mod tests {
         let n = 6;
         let gates = random_gates(5, n, 60);
         let run = |threads, chunk_qubits, simd| {
-            let config = ParallelConfig { threads, chunk_qubits, fusion: true, simd };
+            let config = ParallelConfig { threads, chunk_qubits, simd };
             let mut amps = vec![Complex::ZERO; 1 << n];
             amps[0] = Complex::ONE;
             let mut tally = GateTally::default();
-            evolve_fused(&mut amps, &gates, &config, &mut tally).unwrap();
+            evolve_with(&mut amps, &gates, true, &config, &mut tally).unwrap();
             amps
         };
         // SIMD, scalar, blocked and unblocked schedules all perform the
@@ -1375,11 +1351,11 @@ mod tests {
             let expect = reference_state(&gates, n);
             for chunk_qubits in 1..=6usize {
                 for simd in [false, true] {
-                    let config = ParallelConfig { threads: 2, chunk_qubits, fusion: true, simd };
+                    let config = ParallelConfig { threads: 2, chunk_qubits, simd };
                     let mut amps = vec![Complex::ZERO; 1 << n];
                     amps[0] = Complex::ONE;
                     let mut tally = GateTally::default();
-                    evolve_fused(&mut amps, &gates, &config, &mut tally).unwrap();
+                    evolve_with(&mut amps, &gates, true, &config, &mut tally).unwrap();
                     for (a, e) in amps.iter().zip(&expect) {
                         assert!(
                             (*a - *e).norm() < 1e-12,
@@ -1407,11 +1383,11 @@ mod tests {
         let expect = reference_state(&gates, n);
         for threads in [1usize, 2] {
             for simd in [false, true] {
-                let config = ParallelConfig { threads, chunk_qubits: 2, fusion: true, simd };
+                let config = ParallelConfig { threads, chunk_qubits: 2, simd };
                 let mut amps = vec![Complex::ZERO; 1 << n];
                 amps[0] = Complex::ONE;
                 let mut tally = GateTally::default();
-                evolve_fused(&mut amps, &gates, &config, &mut tally).unwrap();
+                evolve_with(&mut amps, &gates, true, &config, &mut tally).unwrap();
                 for (a, e) in amps.iter().zip(&expect) {
                     assert!(
                         (*a - *e).norm() < 1e-12,
@@ -1432,11 +1408,11 @@ mod tests {
         let expect = reference_state(&gates, 1);
         for chunk_qubits in [1usize, 2, 4] {
             for simd in [false, true] {
-                let config = ParallelConfig { threads: 4, chunk_qubits, fusion: true, simd };
+                let config = ParallelConfig { threads: 4, chunk_qubits, simd };
                 let mut amps = vec![Complex::ZERO; 2];
                 amps[0] = Complex::ONE;
                 let mut tally = GateTally::default();
-                evolve_fused(&mut amps, &gates, &config, &mut tally).unwrap();
+                evolve_with(&mut amps, &gates, true, &config, &mut tally).unwrap();
                 for (a, e) in amps.iter().zip(&expect) {
                     assert!(
                         (*a - *e).norm() < 1e-12,
@@ -1453,10 +1429,9 @@ mod tests {
         let mut amps = vec![Complex::ZERO; 8];
         amps[0] = Complex::new(0.8, 0.0);
         amps[5] = Complex::new(0.6, 0.0);
-        let cdf = probability_cdf(&amps);
-        let one = sample_indices(&cdf, 3000, 42, 1);
+        let one = sample_terminal(&mut amps.clone(), 3000, 42, 1);
         for threads in [2usize, 4, 8] {
-            assert_eq!(sample_indices(&cdf, 3000, 42, threads), one);
+            assert_eq!(sample_terminal(&mut amps.clone(), 3000, 42, threads), one);
         }
         let frac = one.iter().filter(|&&i| i == 0).count() as f64 / one.len() as f64;
         assert!((frac - 0.64).abs() < 0.05, "P(0)≈0.64, got {frac}");
@@ -1468,38 +1443,69 @@ mod tests {
         // All mass on the last state: every draw must clamp there.
         let mut amps = vec![Complex::ZERO; 4];
         amps[3] = Complex::ONE;
-        let cdf = probability_cdf(&amps);
-        assert!(sample_indices(&cdf, 100, 7, 2).iter().all(|&i| i == 3));
+        assert!(sample_terminal(&mut amps, 100, 7, 2).iter().all(|&i| i == 3));
     }
 
     #[test]
     fn density_two_sided_application_matches_pure_state_outer_product() {
-        let n = 3;
-        let gates = random_gates(23, n, 25);
         // Independent oracle: for a pure initial state and unitary gates,
-        // ρ = |ψ⟩⟨ψ| with ψ from the reference kernel.
-        let psi = reference_state(&gates, n);
-        // Fused two-sided flat path.
-        let dim = 1usize << n;
-        let mut flat = vec![Complex::ZERO; dim * dim];
-        flat[0] = Complex::ONE;
-        let config = ParallelConfig { threads: 2, chunk_qubits: 2, fusion: true, simd: true };
-        let mut tally = GateTally::default();
-        evolve_fused_density(&mut flat, &gates, n, &config, &mut tally).unwrap();
-        for i in 0..dim {
-            for j in 0..dim {
-                let e = psi[i] * psi[j].conj();
-                let g = flat[i * dim + j];
-                assert!((g - e).norm() < 1e-9, "rho[{i},{j}]: {g:?} vs {e:?}");
+        // ρ = |ψ⟩⟨ψ| with ψ from the reference kernel. Both lowerings run
+        // (gate by gate and fused, whose conjugated column-side programs
+        // are built separately), below and at the density fusion width
+        // `2n ≥ FUSION_MIN_QUBITS`, where `evolve_density` itself fuses.
+        for n in [3usize, FUSION_MIN_QUBITS / 2] {
+            let mut gates = random_gates(23 + n as u64, n, 25 * n);
+            // Swap + T fuse into a group kept as its member list, whose
+            // members the column side must conjugate one by one.
+            gates.push(Instruction::barrier((0..n).collect()));
+            gates.push(Instruction::gate(Gate::Swap, vec![0, 1]));
+            gates.push(Instruction::gate(Gate::T, vec![0]));
+            assert!(fuse(&gates, &FusionConfig::default()).stats.groups > 0);
+            let psi = reference_state(&gates, n);
+            let dim = 1usize << n;
+            let check = |flat: &[Complex], label: &str| {
+                for i in 0..dim {
+                    for j in 0..dim {
+                        let e = psi[i] * psi[j].conj();
+                        let g = flat[i * dim + j];
+                        assert!((g - e).norm() < 1e-9, "{label}: rho[{i},{j}]: {g:?} vs {e:?}");
+                    }
+                }
+            };
+            for threads in [1usize, 2] {
+                for simd in [false, true] {
+                    let config = ParallelConfig { threads, chunk_qubits: 2 * n - 3, simd };
+                    for fused in [false, true] {
+                        let mut flat = vec![Complex::ZERO; dim * dim];
+                        flat[0] = Complex::ONE;
+                        let mut tally = GateTally::default();
+                        evolve_density_with(&mut flat, &gates, n, fused, &config, &mut tally)
+                            .unwrap();
+                        check(&flat, &format!("n={n} threads={threads} simd={simd} fused={fused}"));
+                    }
+                    let mut flat = vec![Complex::ZERO; dim * dim];
+                    flat[0] = Complex::ONE;
+                    evolve_density(&mut flat, &gates, n, &config, &mut GateTally::default())
+                        .unwrap();
+                    check(&flat, &format!("n={n} threads={threads} simd={simd} default"));
+                }
             }
         }
     }
 
     #[test]
     fn simulator_rejects_measurement_and_width() {
-        let mut circ = QuantumCircuit::with_size(1, 1);
-        circ.measure(0, 0).unwrap();
-        assert!(ParallelStatevectorSimulator::new().run(&circ).is_err());
+        let insts = [Instruction::gate(Gate::H, vec![0]), Instruction::measure(0, 0)];
+        let mut amps = vec![Complex::ZERO; 2];
+        amps[0] = Complex::ONE;
+        let config = ParallelConfig::with_threads(1);
+        let err = evolve(&mut amps, &insts, &config, &mut GateTally::default()).unwrap_err();
+        assert!(err.to_string().contains("measure"), "{err}");
+        let wide = qukit_terra::circuit::QuantumCircuit::new(31);
+        assert!(matches!(
+            crate::simulator::StatevectorSimulator::new().run(&wide),
+            Err(AerError::TooManyQubits { .. })
+        ));
     }
 
     #[test]
@@ -1508,16 +1514,10 @@ mod tests {
         assert_eq!(parse_bool_flag(" ON "), Some(true));
         assert_eq!(parse_bool_flag("false"), Some(false));
         assert_eq!(parse_bool_flag("banana"), None);
-        assert!(!ParallelConfig::serial().is_active());
-        assert!(ParallelConfig::with_threads(4).is_active());
-        assert!(
-            ParallelConfig { threads: 1, chunk_qubits: 4, fusion: true, simd: true }.is_active()
-        );
         // One chunk ⇒ serial execution regardless of requested threads.
         assert_eq!(ParallelConfig::with_threads(8).effective_threads(16), 1);
         assert_eq!(
-            ParallelConfig { threads: 8, chunk_qubits: 2, fusion: true, simd: true }
-                .effective_threads(64),
+            ParallelConfig { threads: 8, chunk_qubits: 2, simd: true }.effective_threads(64),
             8
         );
     }

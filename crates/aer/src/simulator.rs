@@ -7,6 +7,16 @@
 //! * [`StatevectorSimulator`] — exact final-state computation for unitary
 //!   circuits.
 //! * [`UnitarySimulator`] — full-unitary extraction for verification.
+//!
+//! Both dense simulators evolve ideal states on the one statevector
+//! engine in [`crate::parallel`], whatever the [`ParallelConfig`]: a
+//! single worker thread is one configuration of it, not a separate path.
+//! `QasmSimulator` has exactly two execution paths. Ideal circuits whose
+//! measurements are terminal evolve once on the engine and sample the
+//! final state. Everything else (noise, mid-circuit measurement, reset,
+//! conditionals) runs per-shot trajectories on [`Statevector`], in
+//! fixed batches of shots with per-batch seeded RNG streams, so seeded
+//! counts never depend on the thread count.
 
 use crate::counts::Counts;
 use crate::error::{AerError, Result};
@@ -15,7 +25,7 @@ use crate::parallel::{self, ParallelConfig};
 use crate::statevector::Statevector;
 use qukit_terra::circuit::QuantumCircuit;
 use qukit_terra::complex::Complex;
-use qukit_terra::instruction::{Instruction, Operation};
+use qukit_terra::instruction::Operation;
 use qukit_terra::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,7 +96,8 @@ pub struct QasmSimulator {
 impl QasmSimulator {
     /// Creates an ideal (noiseless) simulator. The parallel configuration
     /// defaults to [`ParallelConfig::from_env`], so `QUKIT_THREADS` /
-    /// `QUKIT_FUSION` steer every default-constructed instance.
+    /// `QUKIT_CHUNK_QUBITS` / `QUKIT_SIMD` steer every default-constructed
+    /// instance.
     pub fn new() -> Self {
         Self::default()
     }
@@ -103,7 +114,7 @@ impl QasmSimulator {
         self
     }
 
-    /// Sets the parallel/fusion configuration (builder style).
+    /// Sets the statevector engine configuration (builder style).
     pub fn with_parallel(mut self, parallel: ParallelConfig) -> Self {
         self.parallel = parallel;
         self
@@ -125,56 +136,16 @@ impl QasmSimulator {
     /// When the circuit is measurement-terminal (no reset, no conditional,
     /// all measurements after the last gate) and the simulator is
     /// noiseless, the state is evolved once and sampled `shots` times;
-    /// otherwise each shot is an independent trajectory.
+    /// otherwise each shot is an independent trajectory. For a fixed seed
+    /// the counts are identical at every thread count, chunk size and
+    /// SIMD setting.
     ///
     /// # Errors
     ///
     /// Returns an error when the circuit is too wide or uses more than 64
     /// classical bits.
     pub fn run(&self, circuit: &QuantumCircuit, shots: usize) -> Result<Counts> {
-        if circuit.num_qubits() > MAX_QUBITS {
-            return Err(AerError::TooManyQubits {
-                requested: circuit.num_qubits(),
-                max: MAX_QUBITS,
-            });
-        }
-        if circuit.num_clbits() > 64 {
-            return Err(AerError::TooManyClbits { requested: circuit.num_clbits() });
-        }
-        let mut rng = match self.seed {
-            Some(seed) => StdRng::seed_from_u64(seed),
-            None => StdRng::from_entropy(),
-        };
-        let ideal = self.noise.as_ref().is_none_or(NoiseModel::is_ideal);
-        let sampled = ideal && is_measurement_terminal(circuit);
-        let _span = qukit_obs::span!(
-            "aer.qasm_run",
-            qubits = circuit.num_qubits(),
-            shots = shots,
-            mode = if sampled { "sampled" } else { "trajectory" },
-        );
-        qukit_obs::counter_inc("qukit_aer_qasm_runs_total");
-        qukit_obs::counter_add("qukit_aer_shots_total", shots as u64);
-        if sampled {
-            if self.parallel.is_active() {
-                let base_seed = self.seed.unwrap_or_else(|| rng.gen());
-                self.run_sampled_parallel(circuit, shots, base_seed)
-            } else {
-                self.run_sampled(circuit, shots, &mut rng)
-            }
-        } else if self.parallel.threads > 1 && shots > 1 {
-            let base_seed = self.seed.unwrap_or_else(|| rng.gen());
-            self.run_trajectories_batched(circuit, shots, base_seed)
-        } else {
-            let mut tally = GateTally::default();
-            let mut counts = Counts::new(circuit.num_clbits());
-            for _ in 0..shots {
-                let outcome = self.run_trajectory(circuit, &mut rng, &mut tally)?;
-                counts.record(outcome);
-            }
-            tally.flush("qukit_aer_statevector_gates_total");
-            Ok(counts)
-        }
+        self.run_into(circuit, shots, &mut Vec::new())
     }
 
     /// Executes a batch of circuits — typically the bindings of one
@@ -194,96 +165,97 @@ impl QasmSimulator {
         let _span =
             qukit_obs::span!("aer.qasm_run_batch", circuits = circuits.len(), shots = shots,);
         qukit_obs::counter_inc("qukit_aer_batch_runs_total");
-        let mut amps: Vec<Complex> = Vec::new();
-        let mut results = Vec::with_capacity(circuits.len());
-        for circuit in circuits {
-            if circuit.num_qubits() > MAX_QUBITS {
-                return Err(AerError::TooManyQubits {
-                    requested: circuit.num_qubits(),
-                    max: MAX_QUBITS,
-                });
-            }
-            if circuit.num_clbits() > 64 {
-                return Err(AerError::TooManyClbits { requested: circuit.num_clbits() });
-            }
-            let ideal = self.noise.as_ref().is_none_or(NoiseModel::is_ideal);
-            if ideal && is_measurement_terminal(circuit) && self.parallel.is_active() {
-                qukit_obs::counter_inc("qukit_aer_qasm_runs_total");
-                qukit_obs::counter_add("qukit_aer_shots_total", shots as u64);
-                let base_seed = match self.seed {
-                    Some(seed) => seed,
-                    None => rand::thread_rng().gen(),
-                };
-                results.push(self.run_sampled_parallel_into(circuit, shots, base_seed, &mut amps)?);
-            } else {
-                results.push(self.run(circuit, shots)?);
-            }
-        }
-        Ok(results)
+        let mut amps = Vec::new();
+        circuits.iter().map(|circuit| self.run_into(circuit, shots, &mut amps)).collect()
     }
 
-    /// Parallel fast path: fused chunked evolution, then batched CDF
-    /// sampling with per-batch RNG streams. For a fixed seed the counts
-    /// are identical at every thread count and chunk size.
-    fn run_sampled_parallel(
+    /// [`QasmSimulator::run`] with a caller-provided amplitude buffer
+    /// (reused across the bindings of a batch).
+    fn run_into(
         &self,
         circuit: &QuantumCircuit,
         shots: usize,
-        base_seed: u64,
-    ) -> Result<Counts> {
-        self.run_sampled_parallel_into(circuit, shots, base_seed, &mut Vec::new())
-    }
-
-    /// [`QasmSimulator::run_sampled_parallel`] with a caller-provided
-    /// amplitude buffer (reused across the bindings of a batch).
-    fn run_sampled_parallel_into(
-        &self,
-        circuit: &QuantumCircuit,
-        shots: usize,
-        base_seed: u64,
         amps: &mut Vec<Complex>,
     ) -> Result<Counts> {
-        let mut gates: Vec<Instruction> = Vec::new();
+        if circuit.num_qubits() > MAX_QUBITS {
+            return Err(AerError::TooManyQubits {
+                requested: circuit.num_qubits(),
+                max: MAX_QUBITS,
+            });
+        }
+        if circuit.num_clbits() > 64 {
+            return Err(AerError::TooManyClbits { requested: circuit.num_clbits() });
+        }
+        let seed = self.seed.unwrap_or_else(|| rand::thread_rng().gen());
+        let ideal = self.noise.as_ref().is_none_or(NoiseModel::is_ideal);
+        let sampled = ideal && is_measurement_terminal(circuit);
+        let _span = qukit_obs::span!(
+            "aer.qasm_run",
+            qubits = circuit.num_qubits(),
+            shots = shots,
+            mode = if sampled { "sampled" } else { "trajectory" },
+        );
+        qukit_obs::counter_inc("qukit_aer_qasm_runs_total");
+        qukit_obs::counter_add("qukit_aer_shots_total", shots as u64);
+        if sampled {
+            self.run_terminal(circuit, shots, seed, amps)
+        } else {
+            self.run_trajectories(circuit, shots, seed)
+        }
+    }
+
+    /// The ideal path: evolve once on the statevector engine, then draw
+    /// every shot from the final state in batched CDF sampling with
+    /// per-batch RNG streams.
+    fn run_terminal(
+        &self,
+        circuit: &QuantumCircuit,
+        shots: usize,
+        seed: u64,
+        amps: &mut Vec<Complex>,
+    ) -> Result<Counts> {
         let mut measures: Vec<(usize, usize)> = Vec::new();
         for inst in circuit.instructions() {
-            match &inst.op {
-                Operation::Gate(_) => gates.push(inst.clone()),
-                Operation::Measure => measures.push((inst.qubits[0], inst.clbits[0])),
-                Operation::Barrier => {}
-                Operation::Reset => unreachable!("terminal circuits have no reset"),
+            if let Operation::Measure = inst.op {
+                measures.push((inst.qubits[0], inst.clbits[0]));
             }
         }
         amps.clear();
         amps.resize(1usize << circuit.num_qubits(), Complex::ZERO);
         amps[0] = Complex::ONE;
         let mut tally = GateTally::default();
-        parallel::evolve_fused(amps, &gates, &self.parallel, &mut tally)?;
+        // Terminal measurements commute with every later gate (those act
+        // on other qubits), so the engine sees the circuit without them.
+        let gates =
+            circuit.instructions().iter().filter(|inst| !matches!(inst.op, Operation::Measure));
+        parallel::evolve(amps, gates, &self.parallel, &mut tally)?;
         tally.flush("qukit_aer_statevector_gates_total");
-        let _sample_span = qukit_obs::span!("aer.sample", shots = shots, mode = "parallel")
+        let _sample_span = qukit_obs::span!("aer.sample", shots = shots, mode = "statevector")
             .with_metric("qukit_aer_sample_seconds");
-        let cdf = parallel::probability_cdf(amps);
-        let samples = parallel::sample_indices(&cdf, shots, base_seed, self.parallel.threads);
+        let mut samples = parallel::sample_terminal(amps, shots, seed, self.parallel.threads);
+        // One histogram update per distinct basis state, not per shot.
+        samples.sort_unstable();
         let mut counts = Counts::new(circuit.num_clbits());
-        for basis in samples {
+        for run in samples.chunk_by(|a, b| a == b) {
             let mut outcome = 0u64;
             for &(q, c) in &measures {
-                if (basis >> q) & 1 == 1 {
+                if (run[0] >> q) & 1 == 1 {
                     outcome |= 1 << c;
                 }
             }
-            counts.record(outcome);
+            counts.record_n(outcome, run.len());
         }
         Ok(counts)
     }
 
-    /// Shot-parallel trajectories: shots are split into fixed-size batches
-    /// with per-batch seeded RNG streams (thread-count-invariant for a
-    /// fixed seed); workers claim batches in a fixed stride.
-    fn run_trajectories_batched(
+    /// The trajectory path: shots are split into fixed-size batches with
+    /// per-batch seeded RNG streams (thread-count-invariant for a fixed
+    /// seed); workers claim batches in a fixed stride.
+    fn run_trajectories(
         &self,
         circuit: &QuantumCircuit,
         shots: usize,
-        base_seed: u64,
+        seed: u64,
     ) -> Result<Counts> {
         let batch_size = parallel::TRAJECTORY_BATCH;
         let batches = shots.div_ceil(batch_size);
@@ -291,7 +263,7 @@ impl QasmSimulator {
         let run_batch = |batch: usize| -> Result<(Counts, GateTally)> {
             let lo = batch * batch_size;
             let hi = ((batch + 1) * batch_size).min(shots);
-            let mut rng = StdRng::seed_from_u64(parallel::batch_seed(base_seed, batch as u64));
+            let mut rng = StdRng::seed_from_u64(parallel::batch_seed(seed, batch as u64));
             let mut counts = Counts::new(circuit.num_clbits());
             let mut tally = GateTally::default();
             for _ in lo..hi {
@@ -334,45 +306,6 @@ impl QasmSimulator {
             tally.record_n(batch_tally.gates, batch_tally.amplitudes);
         }
         tally.flush("qukit_aer_statevector_gates_total");
-        Ok(counts)
-    }
-
-    /// Fast path: evolve once, sample the terminal distribution.
-    fn run_sampled(
-        &self,
-        circuit: &QuantumCircuit,
-        shots: usize,
-        rng: &mut StdRng,
-    ) -> Result<Counts> {
-        let mut state = Statevector::new(circuit.num_qubits());
-        let dim = 1u64 << circuit.num_qubits();
-        let mut tally = GateTally::default();
-        let mut measures: Vec<(usize, usize)> = Vec::new();
-        for inst in circuit.instructions() {
-            match &inst.op {
-                Operation::Gate(g) => {
-                    state.apply_gate(*g, &inst.qubits);
-                    tally.record(dim);
-                }
-                Operation::Measure => measures.push((inst.qubits[0], inst.clbits[0])),
-                Operation::Barrier => {}
-                Operation::Reset => unreachable!("terminal circuits have no reset"),
-            }
-        }
-        tally.flush("qukit_aer_statevector_gates_total");
-        let _sample_span = qukit_obs::span!("aer.sample", shots = shots, mode = "sequential")
-            .with_metric("qukit_aer_sample_seconds");
-        let mut counts = Counts::new(circuit.num_clbits());
-        for _ in 0..shots {
-            let basis = state.sample(rng);
-            let mut outcome = 0u64;
-            for &(q, c) in &measures {
-                if (basis >> q) & 1 == 1 {
-                    outcome |= 1 << c;
-                }
-            }
-            counts.record(outcome);
-        }
         Ok(counts)
     }
 
@@ -472,11 +405,13 @@ fn is_measurement_terminal(circuit: &QuantumCircuit) -> bool {
     true
 }
 
-/// Exact statevector simulator for unitary circuits.
+/// Exact statevector simulator for unitary circuits, on the statevector
+/// engine of [`crate::parallel`].
 ///
 /// # Examples
 ///
 /// ```
+/// use qukit_aer::parallel::ParallelConfig;
 /// use qukit_aer::simulator::StatevectorSimulator;
 /// use qukit_terra::circuit::QuantumCircuit;
 ///
@@ -487,16 +422,27 @@ fn is_measurement_terminal(circuit: &QuantumCircuit) -> bool {
 /// ghz.cx(1, 2).unwrap();
 /// let state = StatevectorSimulator::new().run(&ghz)?;
 /// assert!((state.amplitude(0).norm_sqr() - 0.5).abs() < 1e-12);
+/// let threaded = StatevectorSimulator::new().with_parallel(ParallelConfig::with_threads(2));
+/// assert_eq!(threaded.run(&ghz)?, state);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
-pub struct StatevectorSimulator;
+pub struct StatevectorSimulator {
+    parallel: ParallelConfig,
+}
 
 impl StatevectorSimulator {
-    /// Creates the simulator.
+    /// Creates the simulator; the engine configuration defaults to
+    /// [`ParallelConfig::from_env`].
     pub fn new() -> Self {
-        Self
+        Self::default()
+    }
+
+    /// Sets the statevector engine configuration (builder style).
+    pub fn with_parallel(mut self, parallel: ParallelConfig) -> Self {
+        self.parallel = parallel;
+        self
     }
 
     /// Computes the exact final state of a unitary circuit.
@@ -513,27 +459,19 @@ impl StatevectorSimulator {
                 max: MAX_QUBITS,
             });
         }
-        let _span = qukit_obs::span!("aer.statevector_run", qubits = circuit.num_qubits());
+        let _span = qukit_obs::span!(
+            "aer.statevector_run",
+            qubits = circuit.num_qubits(),
+            threads = self.parallel.threads,
+            simd = if self.parallel.simd { "on" } else { "off" },
+        );
         qukit_obs::counter_inc("qukit_aer_statevector_runs_total");
-        let mut state = Statevector::new(circuit.num_qubits());
-        let dim = 1u64 << circuit.num_qubits();
+        let mut amps = vec![Complex::ZERO; 1usize << circuit.num_qubits()];
+        amps[0] = Complex::ONE;
         let mut tally = GateTally::default();
-        for inst in circuit.instructions() {
-            match &inst.op {
-                Operation::Gate(g) if inst.condition.is_none() => {
-                    state.apply_gate(*g, &inst.qubits);
-                    tally.record(dim);
-                }
-                Operation::Barrier => {}
-                other => {
-                    return Err(AerError::UnsupportedInstruction {
-                        name: other.name().to_owned(),
-                        simulator: "statevector simulator",
-                    })
-                }
-            }
-        }
+        parallel::evolve(&mut amps, circuit.instructions(), &self.parallel, &mut tally)?;
         tally.flush("qukit_aer_statevector_gates_total");
+        let mut state = Statevector::from_amplitudes(amps);
         state.apply_global_phase(circuit.global_phase());
         Ok(state)
     }
@@ -624,11 +562,11 @@ mod tests {
         for (circ, counts) in circuits.iter().zip(&batch) {
             assert_eq!(&sim.run(circ, 512).unwrap(), counts);
         }
-        // The serial front-end also accepts batches (per-run fallback).
-        let serial = QasmSimulator::new().with_seed(13);
-        let batch = serial.run_batch(&circuits, 64).unwrap();
+        // The default configuration shares the same engine and buffer reuse.
+        let default = QasmSimulator::new().with_seed(13);
+        let batch = default.run_batch(&circuits, 64).unwrap();
         for (circ, counts) in circuits.iter().zip(&batch) {
-            assert_eq!(&serial.run(circ, 64).unwrap(), counts);
+            assert_eq!(&default.run(circ, 64).unwrap(), counts);
         }
     }
 

@@ -1,9 +1,10 @@
 //! Statevector representation and manipulation.
 //!
 //! [`Statevector`] is the mutable quantum-state object the simulators in
-//! this crate are built on: gate application via bit-sliced updates,
-//! projective measurement with collapse, reset, sampling, expectation
-//! values and fidelities.
+//! this crate return and the trajectory path evolves: gate application
+//! via bit-sliced updates, projective measurement with collapse, reset,
+//! expectation values and fidelities. Ideal circuits evolve on the
+//! kernels of [`crate::parallel`] instead.
 
 use crate::simd::{complex_mul2, neg_im_vec, simd_default, F64x4};
 use qukit_terra::complex::Complex;
@@ -224,20 +225,6 @@ impl Statevector {
         if self.measure(q, rng) {
             self.apply_x(q);
         }
-    }
-
-    /// Samples a full computational-basis outcome *without* collapsing the
-    /// state (used for repeated sampling of a terminal state).
-    pub fn sample(&self, rng: &mut impl Rng) -> usize {
-        let mut r = rng.gen::<f64>();
-        for (idx, amp) in self.amplitudes.iter().enumerate() {
-            let p = amp.norm_sqr();
-            if r < p {
-                return idx;
-            }
-            r -= p;
-        }
-        self.amplitudes.len() - 1
     }
 
     /// Expectation value `⟨ψ|P|ψ⟩` of a Pauli string given as one
@@ -499,14 +486,19 @@ mod tests {
 
     #[test]
     fn sampling_matches_distribution() {
+        // Per-shot sampling on the trajectory path is a projective
+        // measurement of every qubit on a fresh copy of the state.
         let mut rng = StdRng::seed_from_u64(99);
-        let mut sv = Statevector::new(2);
-        sv.apply_gate(Gate::H, &[0]);
-        sv.apply_gate(Gate::CX, &[0, 1]);
+        let mut bell = Statevector::new(2);
+        bell.apply_gate(Gate::H, &[0]);
+        bell.apply_gate(Gate::CX, &[0, 1]);
         let mut zeros = 0;
         let mut threes = 0;
         for _ in 0..2000 {
-            match sv.sample(&mut rng) {
+            let mut sv = bell.clone();
+            let outcome =
+                usize::from(sv.measure(0, &mut rng)) | usize::from(sv.measure(1, &mut rng)) << 1;
+            match outcome {
                 0 => zeros += 1,
                 3 => threes += 1,
                 other => panic!("impossible outcome {other}"),

@@ -37,7 +37,9 @@ pub struct BaselineConfig {
     /// on a noisy machine.
     pub repeats: usize,
     /// Thread counts swept by the `parallel_statevector[t=N]` engines on
-    /// the wide (12-qubit) circuits. Empty disables the parallel sweep.
+    /// the wide (12-qubit) circuits; 1 is skipped there because
+    /// `qasm_simulator` already is the one-thread run. Empty disables the
+    /// parallel sweep.
     pub threads: Vec<usize>,
     /// Also run the 22–26-qubit statevector entries (`ghz_24`, `qft_22`,
     /// `qft_24`, `random_26x40`) on the parallel engine with SIMD on and
@@ -91,11 +93,10 @@ pub struct Baseline {
 
 /// Builds one backend instance by name with the sweep seed applied.
 ///
-/// `parallel_statevector[t=N]` names the qasm simulator routed through
-/// the chunked/fused parallel kernels with `N` worker threads; the plain
-/// `qasm_simulator` is pinned to the serial legacy path so the
-/// serial-versus-parallel comparison is immune to `QUKIT_THREADS` in the
-/// measuring environment.
+/// `parallel_statevector[t=N]` names the qasm simulator with `N` worker
+/// threads; the plain `qasm_simulator` is pinned to one thread so the
+/// single-versus-multi-worker comparison is immune to `QUKIT_THREADS` in
+/// the measuring environment.
 fn make_engine(name: &str, seed: u64) -> Box<dyn Backend> {
     use qukit::aer::parallel::ParallelConfig;
     use qukit::backend::{DdSimulatorBackend, FakeDevice, QasmSimulatorBackend, StabilizerBackend};
@@ -106,7 +107,9 @@ fn make_engine(name: &str, seed: u64) -> Box<dyn Backend> {
     }
     match name {
         "qasm_simulator" => Box::new(
-            QasmSimulatorBackend::new().with_seed(seed).with_parallel(ParallelConfig::serial()),
+            QasmSimulatorBackend::new()
+                .with_seed(seed)
+                .with_parallel(ParallelConfig::with_threads(1)),
         ),
         "dd_simulator" => Box::new(DdSimulatorBackend::new().with_seed(seed)),
         "stabilizer_simulator" => Box::new(StabilizerBackend::new().with_seed(seed)),
@@ -128,9 +131,9 @@ fn parse_parallel_engine(name: &str) -> Option<(usize, bool)> {
 
 /// The fixed sweep: circuit × engines able to run it. The GHZ circuits
 /// are Clifford (stabilizer-eligible); only the ≤5-qubit circuits fit
-/// the ibmqx4 device model. The 12-qubit circuits additionally run on
-/// the parallel chunked/fused engine at every requested thread count —
-/// the speedup anchor for the parallel execution layer.
+/// the ibmqx4 device model. The 12-qubit circuits additionally run at
+/// every requested thread count above one (`qasm_simulator` is the
+/// one-thread point) — the speedup anchor for multi-worker splitting.
 fn sweep(threads: &[usize], large_statevector: bool) -> Vec<(String, QuantumCircuit, Vec<String>)> {
     let bell = {
         let mut circ = QuantumCircuit::new(2);
@@ -141,7 +144,7 @@ fn sweep(threads: &[usize], large_statevector: bool) -> Vec<(String, QuantumCirc
     };
     let owned = |names: &[&str]| names.iter().map(|n| (*n).to_owned()).collect::<Vec<_>>();
     let mut wide_engines = owned(&["qasm_simulator"]);
-    for &t in threads {
+    for &t in threads.iter().filter(|&&t| t > 1) {
         wide_engines.push(format!("parallel_statevector[t={t}]"));
     }
     // DD last: its 12-qubit runs are allocation-heavy (unstructured
@@ -178,8 +181,7 @@ fn sweep(threads: &[usize], large_statevector: bool) -> Vec<(String, QuantumCirc
     ];
     if large_statevector {
         // Dense 22–26-qubit statevector entries (64 MiB–1 GiB states),
-        // SIMD against scalar kernels on the single-threaded parallel
-        // engine: the speedup anchor for the SIMD lane kernels and the
+        // SIMD against scalar kernels at one thread: the speedup anchor for the SIMD lane kernels and the
         // cache-blocked traversal of high-qubit-index gates. GHZ and QFT
         // put their heaviest gates on the top qubit indices, exactly the
         // strided-access pattern the blocked traversal exists for. The
@@ -680,11 +682,7 @@ fn fmt_f64(value: f64) -> String {
 mod tests {
     use super::*;
 
-    /// Baseline runs mutate the global metrics registry; serialize them.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
+    use crate::registry_lock as lock;
 
     #[test]
     fn baseline_covers_at_least_eight_circuit_engine_pairs() {
@@ -845,14 +843,19 @@ mod tests {
             BaselineConfig { shots: 16, repeats: 1, threads: vec![1, 2], ..Default::default() };
         let baseline = run_baseline(&config);
         for circuit in ["qft_12", "random_12x200"] {
-            for engine in
-                ["qasm_simulator", "parallel_statevector[t=1]", "parallel_statevector[t=2]"]
-            {
+            for engine in ["qasm_simulator", "parallel_statevector[t=2]"] {
                 assert!(
                     baseline.entries.iter().any(|e| e.circuit == circuit && e.engine == engine),
                     "missing ({circuit}, {engine})"
                 );
             }
+            assert!(
+                !baseline
+                    .entries
+                    .iter()
+                    .any(|e| e.circuit == circuit && e.engine == "parallel_statevector[t=1]"),
+                "qasm_simulator is the one-thread point of {circuit}"
+            );
         }
         let parallel = baseline
             .entries

@@ -101,6 +101,15 @@ pub fn mapping_suite(num_qubits: usize) -> Vec<(String, QuantumCircuit)> {
     ]
 }
 
+/// Serializes this crate's tests that enable and reset the process-global
+/// metrics registry: baseline and load runs would otherwise wipe or
+/// disable each other's counters mid-run.
+#[cfg(test)]
+fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

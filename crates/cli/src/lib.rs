@@ -113,10 +113,9 @@ const USAGE: &str = "usage:
 
 coupling KIND is one of line, ring, full, or grid:RxC
 
---threads N routes simulation through the parallel chunked/fused
-statevector kernels with N worker threads (run/jobs), or sweeps the
-parallel engine over power-of-two thread counts up to N (bench,
-default 8). `stats --compare` exits nonzero when any (circuit, engine)
+--threads N splits the statevector engine's work across N worker
+threads (run/jobs), or sweeps the engine over power-of-two thread
+counts up to N (bench, default 8). `stats --compare` exits nonzero when any (circuit, engine)
 pair shared by the two baselines slowed down by more than the
 tolerance (default 0.25 = 25%); timings under the noise floor are
 never compared
@@ -498,8 +497,8 @@ fn fmt_wall(seconds: f64) -> String {
     }
 }
 
-/// Parses `--threads N` into a parallel kernel configuration (chunked
-/// execution, fusion enabled) for `run`/`jobs`.
+/// Parses `--threads N` into a statevector engine configuration with `N`
+/// workers for `run`/`jobs`.
 fn parallel_from_flags(
     rest: &[&String],
 ) -> Result<Option<qukit::aer::parallel::ParallelConfig>, CliError> {
@@ -2110,7 +2109,7 @@ mod tests {
         let written = std::fs::read_to_string(&out_file.path).expect("baseline written");
         let baseline =
             qukit_bench::baseline::Baseline::from_json(&written).expect("baseline validates");
-        for engine in ["parallel_statevector[t=1]", "parallel_statevector[t=2]"] {
+        for engine in ["qasm_simulator", "parallel_statevector[t=2]"] {
             assert!(
                 baseline.entries.iter().any(|e| e.circuit == "qft_12" && e.engine == engine),
                 "missing qft_12 on {engine}"

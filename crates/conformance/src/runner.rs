@@ -2,10 +2,12 @@
 //!
 //! For unitary circuits the runner computes its own reference state (a
 //! deliberately naive gate-by-gate matrix application) and compares it
-//! against the statevector simulator, the parallel chunked/fused
-//! statevector engine (threads forced on, fusion enabled), the
+//! against the statevector simulator (threads forced on, tiny chunks, with
+//! its SIMD and scalar kernels cross-checked bit for bit), the
 //! decision-diagram simulator, the density-matrix simulator (diagonal),
-//! and — when the circuit is Clifford — a sampled run on the stabilizer
+//! the statevector and density engines again with the circuit embedded
+//! in a register wide enough that they fuse it, and — when the circuit
+//! is Clifford — a sampled run on the stabilizer
 //! tableau. For circuits with
 //! measurements/reset/conditionals it cross-checks the shot-based engines
 //! statistically.
@@ -17,7 +19,7 @@
 //! shrinks it (see `tests/planted_bug.rs`).
 
 use qukit_aer::density::DensityMatrixSimulator;
-use qukit_aer::parallel::{ParallelConfig, ParallelStatevectorSimulator};
+use qukit_aer::parallel::{ParallelConfig, FUSION_MIN_QUBITS};
 use qukit_aer::simulator::{QasmSimulator, StatevectorSimulator};
 use qukit_aer::stabilizer::{StabilizerSimulator, StabilizerState};
 use qukit_dd::simulator::DdSimulator;
@@ -158,50 +160,38 @@ impl DifferentialRunner {
     fn check_unitary(&self, circuit: &QuantumCircuit) -> Option<Mismatch> {
         let reference = self.reference_state(circuit);
 
-        let sv = match StatevectorSimulator::new().run(circuit) {
+        // The statevector engine runs with threading forced on (tiny chunks
+        // so even fuzz-sized circuits split across workers). Both kernel
+        // flavours run — SIMD and scalar — and beyond matching the
+        // reference to tolerance, they must match each other bit for bit.
+        let run = |simd| {
+            let config = ParallelConfig { threads: 2, chunk_qubits: 2, simd };
+            StatevectorSimulator::new().with_parallel(config).run(circuit)
+        };
+        let sv = match run(true) {
             Ok(sv) => sv,
             Err(e) => return Some(engine_error("statevector", &e)),
         };
         if let Some(m) = self.compare_amplitudes("statevector", &reference, sv.amplitudes()) {
             return Some(m);
         }
-
-        // The parallel engine runs with threading forced on (tiny chunks so
-        // even fuzz-sized circuits split across workers) and fusion enabled,
-        // so the chunked kernels and the fusion pre-pass are both exercised
-        // against the naive reference on every fuzz case. Both kernel
-        // flavours run — SIMD and scalar — and beyond matching the
-        // reference to tolerance, they must match each other bit for bit.
-        let parallel = ParallelConfig { threads: 2, chunk_qubits: 2, fusion: true, simd: true };
-        let psv = match ParallelStatevectorSimulator::with_config(parallel).run(circuit) {
+        let scalar = match run(false) {
             Ok(sv) => sv,
-            Err(e) => return Some(engine_error("parallel_statevector", &e)),
+            Err(e) => return Some(engine_error("statevector_scalar", &e)),
         };
-        if let Some(m) =
-            self.compare_amplitudes("parallel_statevector", &reference, psv.amplitudes())
-        {
-            return Some(m);
-        }
-
-        let scalar_config =
-            ParallelConfig { threads: 2, chunk_qubits: 2, fusion: true, simd: false };
-        let scalar = match ParallelStatevectorSimulator::with_config(scalar_config).run(circuit) {
-            Ok(sv) => sv,
-            Err(e) => return Some(engine_error("parallel_statevector_scalar", &e)),
-        };
-        if scalar.amplitudes() != psv.amplitudes() {
+        if scalar.amplitudes() != sv.amplitudes() {
             let idx = scalar
                 .amplitudes()
                 .iter()
-                .zip(psv.amplitudes())
+                .zip(sv.amplitudes())
                 .position(|(a, b)| a != b)
                 .unwrap_or(0);
             return Some(Mismatch {
                 oracle: "differential".to_owned(),
                 detail: format!(
-                    "parallel_statevector SIMD kernels diverge bitwise from scalar \
-                     kernels at amplitude {idx}: {} vs {}",
-                    psv.amplitudes()[idx],
+                    "statevector SIMD kernels diverge bitwise from scalar kernels at \
+                     amplitude {idx}: {} vs {}",
+                    sv.amplitudes()[idx],
                     scalar.amplitudes()[idx]
                 ),
             });
@@ -220,25 +210,60 @@ impl DifferentialRunner {
                 Ok(rho) => rho,
                 Err(e) => return Some(engine_error("density", &e)),
             };
-            let probabilities = rho.probabilities();
-            for (idx, (p, amp)) in probabilities.iter().zip(&reference).enumerate() {
-                if (p - amp.norm_sqr()).abs() > self.config.amp_tolerance.max(1e-9) {
-                    return Some(Mismatch {
-                        oracle: "differential".to_owned(),
-                        detail: format!(
-                            "density probability diverges at basis state {idx}: \
-                             {p} vs |{amp}|² = {}",
-                            amp.norm_sqr()
-                        ),
-                    });
-                }
+            if let Some(m) = self.compare_probabilities("density", &reference, &rho.probabilities())
+            {
+                return Some(m);
             }
+        }
+
+        if let Some(m) = self.check_fused(circuit, &reference) {
+            return Some(m);
         }
 
         if is_clifford_circuit(circuit) {
             if let Some(m) = self.check_stabilizer_sampling(circuit, &reference) {
                 return Some(m);
             }
+        }
+        None
+    }
+
+    /// Reruns the circuit embedded in a register as wide as the engine's
+    /// fusion threshold. Fuzz circuits are narrower than that, so without
+    /// this the fusion pre-pass and the fused lowering — one-sided on the
+    /// statevector, conjugated two-sided on the density matrix (whose flat
+    /// array has `2n` index bits) — would never see the generator's gate
+    /// mix. The extra qubits stay in |0⟩, so the reference is the
+    /// original one padded with zero amplitudes.
+    fn check_fused(&self, circuit: &QuantumCircuit, reference: &[Complex]) -> Option<Mismatch> {
+        let embed = |width: usize| {
+            let mut wide = QuantumCircuit::with_size(width, circuit.num_clbits());
+            wide.compose(circuit).expect("a wider register holds the circuit");
+            let mut expect = reference.to_vec();
+            expect.resize(1 << width, Complex::ZERO);
+            (wide, expect)
+        };
+        // Several chunks, split across two workers.
+        let config = ParallelConfig { threads: 2, chunk_qubits: FUSION_MIN_QUBITS - 3, simd: true };
+        if circuit.num_qubits() < FUSION_MIN_QUBITS {
+            let (wide, expect) = embed(FUSION_MIN_QUBITS);
+            let sv = match StatevectorSimulator::new().with_parallel(config).run(&wide) {
+                Ok(sv) => sv,
+                Err(e) => return Some(engine_error("statevector_fused", &e)),
+            };
+            if let Some(m) = self.compare_amplitudes("statevector_fused", &expect, sv.amplitudes())
+            {
+                return Some(m);
+            }
+        }
+        let density_width = FUSION_MIN_QUBITS.div_ceil(2);
+        if circuit.num_qubits() < density_width {
+            let (wide, expect) = embed(density_width);
+            let rho = match DensityMatrixSimulator::new().with_parallel(config).run(&wide) {
+                Ok(rho) => rho,
+                Err(e) => return Some(engine_error("density_fused", &e)),
+            };
+            return self.compare_probabilities("density_fused", &expect, &rho.probabilities());
         }
         None
     }
@@ -357,6 +382,29 @@ impl DifferentialRunner {
                     detail: format!(
                         "{engine} amplitude diverges at basis state {idx}: \
                          reference {r}, {engine} {a} (|Δ| = {err:.3e})"
+                    ),
+                });
+            }
+        }
+        None
+    }
+
+    /// Compares an engine's basis-state probabilities with `|amp|²` of the
+    /// reference state.
+    fn compare_probabilities(
+        &self,
+        engine: &str,
+        reference: &[Complex],
+        probabilities: &[f64],
+    ) -> Option<Mismatch> {
+        for (idx, (p, amp)) in probabilities.iter().zip(reference).enumerate() {
+            if (p - amp.norm_sqr()).abs() > self.config.amp_tolerance.max(1e-9) {
+                return Some(Mismatch {
+                    oracle: "differential".to_owned(),
+                    detail: format!(
+                        "{engine} probability diverges at basis state {idx}: \
+                         {p} vs |{amp}|² = {}",
+                        amp.norm_sqr()
                     ),
                 });
             }

@@ -83,8 +83,8 @@ pub trait Backend: Send + Sync {
     /// [`run`]: Backend::run
     fn set_seed(&mut self, _seed: u64) {}
 
-    /// Installs a parallel-execution configuration (threads, chunk size,
-    /// gate fusion) for backends that simulate statevectors locally.
+    /// Installs a statevector engine configuration (threads, chunk size,
+    /// SIMD) for backends that simulate statevectors locally.
     ///
     /// The job service forwards [`crate::job::ExecutorConfig::parallel`]
     /// through this hook; backends without a statevector engine keep the
@@ -132,7 +132,7 @@ impl QasmSimulatorBackend {
         self
     }
 
-    /// Sets the parallel/fusion configuration (builder style). Without
+    /// Sets the statevector engine configuration (builder style). Without
     /// this, the simulator falls back to the `QUKIT_THREADS` environment.
     pub fn with_parallel(mut self, parallel: ParallelConfig) -> Self {
         self.parallel = Some(parallel);

@@ -57,7 +57,7 @@ impl Provider {
     /// Applies a parallel-execution configuration to every registered
     /// backend that supports one (see
     /// [`Backend::set_parallel`](crate::backend::Backend::set_parallel)).
-    /// Backends without a parallel path ignore the call.
+    /// Backends without a statevector engine ignore the call.
     pub fn set_parallel(&mut self, config: qukit_aer::parallel::ParallelConfig) {
         for backend in &mut self.backends {
             backend.set_parallel(config);

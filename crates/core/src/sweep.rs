@@ -171,7 +171,6 @@ mod tests {
         let backend = QasmSimulatorBackend::new().with_seed(11).with_parallel(ParallelConfig {
             threads: 2,
             chunk_qubits: 2,
-            fusion: true,
             simd: true,
         });
         let report = run_sweep(&backend, &pc, &bindings, 256).unwrap();

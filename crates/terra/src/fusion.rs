@@ -35,8 +35,6 @@ use crate::reference;
 /// Configuration for the fusion pre-pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FusionConfig {
-    /// When `false`, [`fuse`] passes every instruction through unchanged.
-    pub enabled: bool,
     /// Maximum number of qubit operands a fused group may span (default 3,
     /// i.e. fused unitaries are at most 8×8).
     pub max_qubits: usize,
@@ -44,7 +42,7 @@ pub struct FusionConfig {
 
 impl Default for FusionConfig {
     fn default() -> Self {
-        Self { enabled: true, max_qubits: 3 }
+        Self { max_qubits: 3 }
     }
 }
 
@@ -101,12 +99,10 @@ pub struct FusedProgram {
 }
 
 /// Runs the fusion pre-pass over an instruction stream.
-pub fn fuse(instructions: &[Instruction], config: &FusionConfig) -> FusedProgram {
-    if !config.enabled {
-        let ops = instructions.iter().cloned().map(FusedOp::Passthrough).collect();
-        return FusedProgram { ops, stats: FusionStats::default() };
-    }
-
+pub fn fuse<'a>(
+    instructions: impl IntoIterator<Item = &'a Instruction>,
+    config: &FusionConfig,
+) -> FusedProgram {
     let max_qubits = config.max_qubits.max(1);
     let mut out = Fuser { ops: Vec::new(), stats: FusionStats::default() };
     // Pending contiguous run of plain gates, the union of their qubits in
@@ -498,17 +494,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_config_passes_everything_through() {
-        let insts = vec![Instruction::gate(Gate::H, vec![0]), Instruction::gate(Gate::T, vec![0])];
-        let program = fuse(&insts, &FusionConfig { enabled: false, max_qubits: 3 });
-        assert_eq!(program.ops.len(), 2);
-        assert!(program.ops.iter().all(|op| matches!(op, FusedOp::Passthrough(_))));
-    }
-
-    #[test]
     fn wide_gate_passes_through() {
         let insts = vec![Instruction::gate(Gate::Ccx, vec![0, 1, 2])];
-        let program = fuse(&insts, &FusionConfig { enabled: true, max_qubits: 2 });
+        let program = fuse(&insts, &FusionConfig { max_qubits: 2 });
         assert_eq!(program.ops.len(), 1);
         assert!(matches!(&program.ops[0], FusedOp::Passthrough(_)));
     }

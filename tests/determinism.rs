@@ -1,11 +1,12 @@
-//! Determinism guarantees of the parallel execution layer.
+//! Determinism guarantees of the statevector engine and the trajectory
+//! path.
 //!
 //! The chunked kernels write every amplitude exactly once per pass from
-//! values read in that pass, and shot sampling draws from fixed-size
-//! per-batch RNG streams — so for a fixed seed the results are identical
-//! whatever the thread count or chunk size. These tests pin that
-//! contract, plus a 16-job concurrent stress of the job service running
-//! over parallel backends.
+//! values read in that pass, and both shot sampling and trajectories draw
+//! from fixed-size per-batch RNG streams — so for a fixed seed the results
+//! are identical whatever the thread count, chunk size or SIMD setting.
+//! These tests pin that contract, plus a 16-job concurrent stress of the
+//! job service running over multi-worker backends.
 
 use qukit::aer::parallel::ParallelConfig;
 use qukit::aer::simulator::QasmSimulator;
@@ -34,8 +35,8 @@ fn sampled_circuit() -> QuantumCircuit {
     circ
 }
 
-/// A circuit with reset + a conditioned gate: forces the per-shot
-/// trajectory path (no one-pass sampling possible).
+/// A circuit with reset + a conditioned gate: forces the trajectory path
+/// (no one-pass sampling possible).
 fn trajectory_circuit() -> QuantumCircuit {
     let mut circ = QuantumCircuit::with_size(3, 3);
     circ.h(0).unwrap();
@@ -59,14 +60,14 @@ fn sampled_counts_are_identical_across_thread_and_chunk_configurations() {
     let shots = 1024;
     let reference = QasmSimulator::new()
         .with_seed(99)
-        .with_parallel(ParallelConfig { threads: 1, chunk_qubits: 13, fusion: true, simd: false })
+        .with_parallel(ParallelConfig { threads: 1, chunk_qubits: 13, simd: false })
         .run(&circuit, shots)
         .expect("reference run");
     assert_eq!(reference.total(), shots);
     for threads in [1, 2, 4, 8] {
         for chunk_qubits in [2, 13] {
             for simd in [false, true] {
-                let config = ParallelConfig { threads, chunk_qubits, fusion: true, simd };
+                let config = ParallelConfig { threads, chunk_qubits, simd };
                 let counts = QasmSimulator::new()
                     .with_seed(99)
                     .with_parallel(config)
@@ -82,51 +83,34 @@ fn sampled_counts_are_identical_across_thread_and_chunk_configurations() {
     }
 }
 
-#[test]
-fn fusion_does_not_change_the_sampled_distribution_stream() {
-    // Fusion reorders no gates and changes no amplitudes (to rounding),
-    // and sampling depends only on the CDF — so the same seed must give
-    // the same counts with fusion on or off.
-    let circuit = sampled_circuit();
-    let run = |fusion: bool| {
-        QasmSimulator::new()
-            .with_seed(1234)
-            .with_parallel(ParallelConfig { threads: 2, chunk_qubits: 4, fusion, simd: true })
-            .run(&circuit, 512)
-            .expect("run")
-    };
-    assert_eq!(counts_vec(&run(false)), counts_vec(&run(true)));
-}
-
+/// The trajectory path reads only `threads` from the config: it runs on
+/// `Statevector`, whose kernels follow `QUKIT_SIMD` (bit-identical either
+/// way, checked by the SIMD-off CI leg) and take no chunk size. So the
+/// thread count is the one setting to vary here.
 #[test]
 fn trajectory_counts_are_identical_across_thread_counts() {
     let circuit = trajectory_circuit();
     let shots = 640;
-    let reference = QasmSimulator::new()
-        .with_seed(5)
-        .with_parallel(ParallelConfig { threads: 2, chunk_qubits: 13, fusion: false, simd: true })
-        .run(&circuit, shots)
-        .expect("reference run");
+    let run = |threads| {
+        QasmSimulator::new()
+            .with_seed(5)
+            .with_parallel(ParallelConfig::with_threads(threads))
+            .run(&circuit, shots)
+            .expect("trajectory run")
+    };
+    let reference = run(1);
     assert_eq!(reference.total(), shots);
-    for threads in [3, 4, 8] {
-        for chunk_qubits in [2, 13] {
-            let config = ParallelConfig { threads, chunk_qubits, fusion: false, simd: true };
-            let counts = QasmSimulator::new()
-                .with_seed(5)
-                .with_parallel(config)
-                .run(&circuit, shots)
-                .expect("trajectory run");
-            assert_eq!(
-                counts_vec(&reference),
-                counts_vec(&counts),
-                "trajectory counts changed at threads {threads}, chunk_qubits {chunk_qubits}"
-            );
-        }
+    for threads in [2, 4, 8] {
+        assert_eq!(
+            counts_vec(&reference),
+            counts_vec(&run(threads)),
+            "trajectory counts changed at threads {threads}"
+        );
     }
 }
 
 /// 16 concurrent submissions through a 4-worker executor whose backends
-/// all run the 4-thread parallel kernels: thread-pool-inside-thread-pool
+/// all run the engine with 4 threads: thread-pool-inside-thread-pool
 /// stress. Every job must complete with full shot totals and the exact
 /// same counts (fixed backend seed, deterministic sampling).
 #[test]
@@ -138,12 +122,7 @@ fn sixteen_concurrent_jobs_over_parallel_backends_are_deterministic() {
         ExecutorConfig {
             workers: 4,
             queue_capacity: 32,
-            parallel: Some(ParallelConfig {
-                threads: 4,
-                chunk_qubits: 2,
-                fusion: true,
-                simd: true,
-            }),
+            parallel: Some(ParallelConfig { threads: 4, chunk_qubits: 2, simd: true }),
             ..Default::default()
         },
     );

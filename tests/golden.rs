@@ -1,11 +1,11 @@
 //! Golden-value tests: known circuits with exact expected amplitudes or
 //! outcome distributions, checked against **every** engine that can run
-//! them — including the parallel chunked/fused kernels. The expected
+//! them — including the statevector engine at several thread counts. The expected
 //! values live as data files in `tests/golden/` so they are reviewable
 //! independently of any simulator.
 
 use qukit::aer::density::DensityMatrixSimulator;
-use qukit::aer::parallel::{ParallelConfig, ParallelStatevectorSimulator};
+use qukit::aer::parallel::ParallelConfig;
 use qukit::aer::simulator::{QasmSimulator, StatevectorSimulator};
 use qukit::aer::stabilizer::StabilizerSimulator;
 use qukit::dd::simulator::DdSimulator;
@@ -52,12 +52,12 @@ fn read_counts(name: &str) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// The parallel engine configurations every golden circuit runs under:
-/// serial-with-fusion and fully threaded with forced-tiny chunks.
+/// The engine configurations every golden circuit runs under: one thread
+/// with the default chunk size, and four threads with forced-tiny chunks.
 fn parallel_configs() -> [ParallelConfig; 2] {
     [
-        ParallelConfig { threads: 1, chunk_qubits: 13, fusion: true, simd: true },
-        ParallelConfig { threads: 4, chunk_qubits: 2, fusion: true, simd: true },
+        ParallelConfig { threads: 1, chunk_qubits: 13, simd: true },
+        ParallelConfig { threads: 4, chunk_qubits: 2, simd: true },
     ]
 }
 
@@ -79,7 +79,7 @@ fn check_unitary_golden(circuit: &QuantumCircuit, expected: &[Complex]) {
     assert_amplitudes("statevector", expected, sv.amplitudes());
 
     for (i, config) in parallel_configs().into_iter().enumerate() {
-        let psv = ParallelStatevectorSimulator::with_config(config).run(circuit).expect("parallel");
+        let psv = StatevectorSimulator::new().with_parallel(config).run(circuit).expect("parallel");
         assert_amplitudes(&format!("parallel[{i}]"), expected, psv.amplitudes());
     }
 
@@ -122,14 +122,11 @@ fn grover_2q_matches_golden_amplitudes_on_every_engine() {
     let expected = read_amplitudes("grover_2q.amps", 2);
     check_unitary_golden(&circuit, &expected);
 
-    // Sampling must find the marked state every single shot, on the
-    // serial and on the parallel sampled path.
+    // Sampling must find the marked state every single shot, at one
+    // thread and at four.
     let mut measured = circuit.clone();
     measured.measure_all();
-    for config in [
-        ParallelConfig::serial(),
-        ParallelConfig { threads: 4, chunk_qubits: 2, fusion: true, simd: true },
-    ] {
+    for config in parallel_configs() {
         let counts = QasmSimulator::new()
             .with_seed(9)
             .with_parallel(config)
@@ -149,9 +146,9 @@ fn teleporting_one_matches_golden_counts_on_serial_and_parallel_paths() {
 
     let shots = 4096;
     let configs = [
-        ParallelConfig::serial(),
-        ParallelConfig { threads: 2, chunk_qubits: 13, fusion: false, simd: false },
-        ParallelConfig { threads: 4, chunk_qubits: 2, fusion: true, simd: true },
+        ParallelConfig::with_threads(1),
+        ParallelConfig { threads: 2, chunk_qubits: 13, simd: false },
+        ParallelConfig { threads: 4, chunk_qubits: 2, simd: true },
     ];
     for (i, config) in configs.into_iter().enumerate() {
         let counts = QasmSimulator::new()
