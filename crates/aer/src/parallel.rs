@@ -54,6 +54,7 @@
 use crate::error::{AerError, Result};
 use crate::simd::{complex_mul2, neg_im_vec, simd_default, F64x4};
 use crate::simulator::GateTally;
+use qukit_obs::hash::{splitmix64_mix, SPLITMIX64_GAMMA};
 use qukit_terra::complex::Complex;
 use qukit_terra::fusion::{controlled_form, fuse, FusedOp, FusedProgram, FusionConfig};
 use qukit_terra::instruction::{Instruction, Operation};
@@ -160,12 +161,9 @@ pub(crate) fn parse_bool_flag(value: &str) -> Option<bool> {
 }
 
 /// Derives the RNG seed for one sampling/trajectory batch from the run
-/// seed (SplitMix64-style mixing; batch boundaries are thread-independent).
+/// seed (SplitMix64 mixing; batch boundaries are thread-independent).
 pub(crate) fn batch_seed(seed: u64, batch: u64) -> u64 {
-    let mut z = seed ^ batch.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64_mix(seed ^ batch.wrapping_mul(SPLITMIX64_GAMMA))
 }
 
 /// A 2×2 pair update, pre-classified by entry structure so the hot loop

@@ -22,11 +22,9 @@ fn report() {
     );
     let mut naive_size = 0;
     let mut best_size = usize::MAX;
-    for (mapper, label) in [
-        (MapperKind::Basic, "basic"),
-        (MapperKind::Lookahead, "lookahead"),
-        (MapperKind::AStar, "astar"),
-    ] {
+    for (mapper, label) in
+        [(MapperKind::Basic, "basic"), (MapperKind::Sabre, "sabre"), (MapperKind::AStar, "astar")]
+    {
         for level in [0u8, 1, 2, 3] {
             let options = TranspileOptions {
                 coupling_map: Some(qx4.clone()),
@@ -70,11 +68,9 @@ fn bench(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(400))
         .measurement_time(Duration::from_secs(1));
-    for (mapper, label) in [
-        (MapperKind::Basic, "basic"),
-        (MapperKind::Lookahead, "lookahead"),
-        (MapperKind::AStar, "astar"),
-    ] {
+    for (mapper, label) in
+        [(MapperKind::Basic, "basic"), (MapperKind::Sabre, "sabre"), (MapperKind::AStar, "astar")]
+    {
         let options = TranspileOptions {
             coupling_map: Some(qx4.clone()),
             mapper,

@@ -3,7 +3,7 @@
 //!
 //! Sweeps a benchmark-circuit suite over IBM QX5 (16 qubits) and reports
 //! the gate overhead of every mapper; the expected shape is
-//! `astar ≤ lookahead ≤ basic` on added gates.
+//! `sabre ≤ basic` and `astar ≤ basic` on added gates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qukit::terra::coupling::CouplingMap;
@@ -14,10 +14,7 @@ use std::time::Duration;
 fn report() {
     println!("=== §V-B reproduction: mapping overhead on IBM QX5 ===\n");
     let qx5 = CouplingMap::ibm_qx5();
-    println!(
-        "{:<22} {:>6} | {:>13} {:>13} {:>13}",
-        "circuit", "base", "basic", "lookahead", "astar"
-    );
+    println!("{:<22} {:>6} | {:>13} {:>13} {:>13}", "circuit", "base", "basic", "sabre", "astar");
     println!(
         "{:<22} {:>6} | {:>7}{:>6} {:>7}{:>6} {:>7}{:>6}",
         "", "gates", "gates", "swaps", "gates", "swaps", "gates", "swaps"
@@ -27,7 +24,7 @@ fn report() {
         let base = qukit::terra::transpiler::decompose::elementary_gate_count(&circ);
         let mut row = format!("{name:<22} {base:>6} |");
         for (i, mapper) in
-            [MapperKind::Basic, MapperKind::Lookahead, MapperKind::AStar].iter().enumerate()
+            [MapperKind::Basic, MapperKind::Sabre, MapperKind::AStar].iter().enumerate()
         {
             let options = TranspileOptions {
                 coupling_map: Some(qx5.clone()),
@@ -41,9 +38,9 @@ fn report() {
         }
         println!("{row}");
     }
-    println!("\ntotals: basic {} / lookahead {} / astar {} gates", totals[0], totals[1], totals[2]);
+    println!("\ntotals: basic {} / sabre {} / astar {} gates", totals[0], totals[1], totals[2]);
     println!(
-        "shape check (search beats naive): lookahead<=basic: {}, astar<=basic: {}",
+        "shape check (search beats naive): sabre<=basic: {}, astar<=basic: {}",
         totals[1] <= totals[0],
         totals[2] <= totals[0]
     );
@@ -59,11 +56,9 @@ fn bench(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(400))
         .measurement_time(Duration::from_secs(2));
     let circ = qukit_bench::random_circuit(10, 40, 1234);
-    for (mapper, label) in [
-        (MapperKind::Basic, "basic"),
-        (MapperKind::Lookahead, "lookahead"),
-        (MapperKind::AStar, "astar"),
-    ] {
+    for (mapper, label) in
+        [(MapperKind::Basic, "basic"), (MapperKind::Sabre, "sabre"), (MapperKind::AStar, "astar")]
+    {
         let options = TranspileOptions {
             coupling_map: Some(qx5.clone()),
             mapper,

@@ -22,7 +22,7 @@ fn report() {
         for level in 0u8..=3 {
             let options = TranspileOptions {
                 coupling_map: Some(qx5.clone()),
-                mapper: MapperKind::Lookahead,
+                mapper: MapperKind::Sabre,
                 optimization_level: level,
                 ..TranspileOptions::default()
             };
@@ -46,7 +46,7 @@ fn bench(c: &mut Criterion) {
     for level in [0u8, 1, 2, 3] {
         let options = TranspileOptions {
             coupling_map: Some(qx5.clone()),
-            mapper: MapperKind::Lookahead,
+            mapper: MapperKind::Sabre,
             optimization_level: level,
             ..TranspileOptions::default()
         };

@@ -341,8 +341,8 @@ fn transpiler_entries(config: &BaselineConfig) -> Vec<BaselineEntry> {
     let mut options = TranspileOptions::for_device(CouplingMap::grid(3, 4));
     options.optimization_level = 1;
     options.mapper = MapperKind::Sabre;
-    let cache = transpiler::cache::TranspileCache::new(4);
-    let key = transpiler::cache::TranspileCache::key(circuit, &options);
+    let cache = transpiler::cache::TranspileCache::new(4, &transpiler::cache::SERIES);
+    let key = transpiler::cache::key(circuit, &options);
     let mut cold = f64::INFINITY;
     let mut warm = f64::INFINITY;
     for _ in 0..repeats {

@@ -21,6 +21,7 @@ use qukit::job::{ExecutorConfig, Job, JobEvent, JobExecutor, JobObserver, JobSta
 use qukit::provider::Provider;
 use qukit::terra::circuit::QuantumCircuit;
 use qukit::{CacheConfig, Priority, QasmSimulatorBackend, RetryPolicy, TenantConfig};
+use qukit_obs::hash::splitmix64;
 
 use crate::baseline::{Baseline, BaselineEntry};
 
@@ -268,14 +269,6 @@ pub fn payload_pool(size: usize) -> Vec<QuantumCircuit> {
 
 fn pool_max_qubits(size: usize) -> usize {
     payload_pool(size).iter().map(QuantumCircuit::num_qubits).max().unwrap_or(0)
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Observes completion events to detect duplicated terminals — the

@@ -88,7 +88,7 @@ const USAGE: &str = "usage:
   qukit run <file.qasm> [--backend NAME] [--shots N] [--seed N]
             [--threads N] [--sweep N] [--metrics FILE.json] [--trace]
   qukit transpile <file.qasm> [--device NAME | --coupling KIND:N]
-                  [--router basic|lookahead|astar|sabre] [--opt-level 0..3]
+                  [--router basic|astar|sabre] [--opt-level 0..3]
                   [--emit]  (--mapper/--opt are accepted aliases)
   qukit equiv <a.qasm> <b.qasm>
   qukit jobs <file.qasm> [--backend NAME] [--shots N] [--seed N]
@@ -1243,12 +1243,16 @@ fn cmd_transpile(rest: &[&String], out: &mut impl Write) -> Result<(), CliError>
         }
         (mapper, router) => mapper.or(router),
     };
-    let mapper = match mapper_flag.unwrap_or("sabre") {
-        "basic" => MapperKind::Basic,
-        "lookahead" => MapperKind::Lookahead,
-        "astar" => MapperKind::AStar,
-        "sabre" => MapperKind::Sabre,
-        other => return Err(CliError::Usage(format!("unknown mapper '{other}'"))),
+    let mapper = match mapper_flag {
+        None => MapperKind::default(),
+        Some("basic") => MapperKind::Basic,
+        Some("astar") => MapperKind::AStar,
+        Some("sabre") => MapperKind::Sabre,
+        Some(other) => {
+            return Err(CliError::Usage(format!(
+                "unknown mapper '{other}' (expected basic, astar or sabre)"
+            )))
+        }
     };
     let opt_flag = match (flag_value(rest, "--opt")?, flag_value(rest, "--opt-level")?) {
         (Some(_), Some(_)) => {
@@ -1495,6 +1499,16 @@ mod tests {
         assert!(matches!(err, CliError::Usage(msg) if msg.contains("aliases")));
         let err = run_err(&["transpile", file.as_str(), "--opt-level", "7"]);
         assert!(matches!(err, CliError::Usage(msg) if msg.contains("not in 0..=3")));
+    }
+
+    #[test]
+    fn retired_lookahead_router_is_a_usage_error() {
+        let file = write_bell();
+        let err = run_err(&["transpile", file.as_str(), "--mapper", "lookahead"]);
+        assert!(
+            matches!(&err, CliError::Usage(msg) if msg.contains("basic, astar or sabre")),
+            "{err:?}"
+        );
     }
 
     #[test]

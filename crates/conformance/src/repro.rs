@@ -7,6 +7,7 @@
 //! function that parses the QASM and re-runs the full oracle suite.
 
 use crate::runner::Mismatch;
+use qukit_obs::hash::fnv1a64;
 use qukit_terra::circuit::QuantumCircuit;
 
 /// A self-contained description of one shrunk failure.
@@ -24,7 +25,9 @@ impl Reproducer {
     /// Builds the reproducer artifacts for a shrunk failing circuit.
     pub fn new(circuit: &QuantumCircuit, mismatch: &Mismatch) -> Self {
         let qasm = qukit_terra::qasm::emit(circuit);
-        let slug = format!("{}_{:08x}", mismatch.oracle, fnv1a(qasm.as_bytes()) as u32);
+        // FNV-1a keeps slugs stable: the same shrunk circuit always maps
+        // to the same file name, so repeated fuzz runs dedupe naturally.
+        let slug = format!("{}_{:08x}", mismatch.oracle, fnv1a64(qasm.as_bytes()) as u32);
         let test_case = render_test(&slug, &qasm, mismatch);
         Self { slug, qasm, test_case }
     }
@@ -33,17 +36,6 @@ impl Reproducer {
     pub fn file_name(&self) -> String {
         format!("{}.qasm", self.slug)
     }
-}
-
-/// FNV-1a, used for slug stability: the same shrunk circuit always maps
-/// to the same file name, so repeated fuzz runs dedupe naturally.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn render_test(slug: &str, qasm: &str, mismatch: &Mismatch) -> String {

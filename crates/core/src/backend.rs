@@ -331,7 +331,7 @@ impl FakeDevice {
             noise,
             seed: None,
             parallel: None,
-            mapper: MapperKind::Lookahead,
+            mapper: MapperKind::default(),
             layout: qukit_terra::transpiler::InitialLayout::Trivial,
             opt_level: 2,
         }
@@ -506,7 +506,7 @@ impl Backend for FakeDevice {
         // The noise model and transpilation strategy shape the outcome
         // distribution; Debug formatting is a stable-enough digest of
         // both for cache keying.
-        crate::cache::fnv1a64(
+        qukit_obs::hash::fnv1a64(
             format!(
                 "{}|{:?}|{:?}|{:?}|{:?}|{}",
                 self.name, self.noise, self.seed, self.mapper, self.layout, self.opt_level
@@ -519,7 +519,7 @@ impl Backend for FakeDevice {
 /// Seed-sensitive fingerprint for plain simulator backends: the seed is
 /// the only configuration that changes their sampling stream.
 fn seed_fingerprint(tag: &str, seed: Option<u64>) -> u64 {
-    crate::cache::fnv1a64(format!("{tag}|{seed:?}").as_bytes())
+    qukit_obs::hash::fnv1a64(format!("{tag}|{seed:?}").as_bytes())
 }
 
 /// Rewrites a circuit onto only the qubits it actually touches (barriers

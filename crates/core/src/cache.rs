@@ -16,10 +16,15 @@
 //! of a seeded backend is part of the executor's contract, and a cache
 //! hit is sampled from the empirical distribution, not replayed from
 //! the backend's RNG. Opt in via `ExecutorConfig::cache`.
+//!
+//! Storage, LRU eviction and counting are the shared
+//! [`qukit_obs::cache::ContentCache`]; this module owns only the key and
+//! what a hit carries.
 
 use qukit_aer::counts::Counts;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use qukit_obs::cache::{CacheSeries, ContentCache};
+use qukit_obs::hash::{splitmix64, Fnv128};
+use std::sync::Arc;
 
 /// Configuration of the executor's result cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,8 +80,7 @@ impl CachedDistribution {
         let mut counts = Counts::new(self.num_clbits);
         let mut state = seed;
         for _ in 0..shots {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let u = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
+            let u = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
             let outcome = self
                 .cdf
                 .iter()
@@ -87,12 +91,6 @@ impl CachedDistribution {
         }
         counts
     }
-}
-
-struct CacheEntry {
-    distribution: Arc<CachedDistribution>,
-    producer_trace: u64,
-    last_used: u64,
 }
 
 /// A successful cache probe: the distribution to re-sample plus the
@@ -106,118 +104,36 @@ pub struct CacheHit {
     pub producer_trace: u64,
 }
 
-struct CacheState {
-    entries: HashMap<u128, CacheEntry>,
-    tick: u64,
+impl CacheHit {
+    /// The entry to cache for a finished run's counts, produced by the
+    /// job with trace id `producer_trace`.
+    pub fn from_run(counts: &Counts, producer_trace: u64) -> Self {
+        Self { distribution: Arc::new(CachedDistribution::from_counts(counts)), producer_trace }
+    }
 }
 
 /// The bounded, content-addressed result cache.
-pub struct ResultCache {
-    capacity: usize,
-    state: Mutex<CacheState>,
-}
+pub type ResultCache = ContentCache<CacheHit>;
 
-impl std::fmt::Debug for ResultCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ResultCache(capacity={})", self.capacity)
-    }
-}
+/// The series every result cache records into.
+pub(crate) static SERIES: CacheSeries = CacheSeries {
+    hits: "qukit_core_cache_hits_total",
+    misses: "qukit_core_cache_misses_total",
+    inserts: "qukit_core_cache_insertions_total",
+    evictions: "qukit_core_cache_evictions_total",
+    entries: "qukit_core_cache_entries",
+};
 
-impl ResultCache {
-    /// An empty cache with the configured capacity (minimum 1).
-    pub fn new(config: CacheConfig) -> Self {
-        Self {
-            capacity: config.capacity.max(1),
-            state: Mutex::new(CacheState { entries: HashMap::new(), tick: 0 }),
-        }
-    }
-
-    /// The content-address of a submission: the emitted circuit text,
-    /// the backend name, and the backend's noise/seed fingerprint (see
-    /// [`Backend::fingerprint`](crate::backend::Backend::fingerprint)).
-    /// Two 64-bit FNV-1a streams with distinct bases make up the
-    /// 128-bit key, so unrelated submissions colliding is negligible.
-    pub fn key(qasm: &str, backend: &str, fingerprint: u64) -> u128 {
-        let mut lo = FNV_OFFSET;
-        let mut hi = FNV_OFFSET ^ 0x5bd1_e995_9d02_9c4f;
-        for chunk in [qasm.as_bytes(), &[0xff], backend.as_bytes(), &fingerprint.to_le_bytes()] {
-            for &byte in chunk {
-                lo = fnv_step(lo, byte);
-                hi = fnv_step(hi, byte.wrapping_add(0x33));
-            }
-        }
-        (u128::from(hi) << 64) | u128::from(lo)
-    }
-
-    /// Looks up a distribution, recording hit/miss metrics and LRU
-    /// recency.
-    pub fn lookup(&self, key: u128) -> Option<CacheHit> {
-        let mut state = self.state.lock().expect("cache lock");
-        state.tick += 1;
-        let tick = state.tick;
-        match state.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                qukit_obs::counter_inc("qukit_core_cache_hits_total");
-                Some(CacheHit {
-                    distribution: Arc::clone(&entry.distribution),
-                    producer_trace: entry.producer_trace,
-                })
-            }
-            None => {
-                qukit_obs::counter_inc("qukit_core_cache_misses_total");
-                None
-            }
-        }
-    }
-
-    /// Stores the distribution of a finished run under the trace id of
-    /// the job that produced it, evicting the least-recently-used entry
-    /// when over capacity.
-    pub fn insert(&self, key: u128, counts: &Counts, producer_trace: u64) {
-        let distribution = Arc::new(CachedDistribution::from_counts(counts));
-        let mut state = self.state.lock().expect("cache lock");
-        state.tick += 1;
-        let tick = state.tick;
-        if !state.entries.contains_key(&key) && state.entries.len() >= self.capacity {
-            if let Some(&victim) =
-                state.entries.iter().min_by_key(|(_, entry)| entry.last_used).map(|(key, _)| key)
-            {
-                state.entries.remove(&victim);
-                qukit_obs::counter_inc("qukit_core_cache_evictions_total");
-            }
-        }
-        state.entries.insert(key, CacheEntry { distribution, producer_trace, last_used: tick });
-        qukit_obs::counter_inc("qukit_core_cache_insertions_total");
-        qukit_obs::gauge_set("qukit_core_cache_entries", state.entries.len() as f64);
-    }
-
-    /// Number of cached distributions.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("cache lock").entries.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv_step(hash: u64, byte: u8) -> u64 {
-    (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-/// 64-bit FNV-1a, shared with backend fingerprinting.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |hash, &byte| fnv_step(hash, byte))
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// The content-address of a submission: the emitted circuit text, the
+/// backend name, and the backend's noise/seed fingerprint (see
+/// [`Backend::fingerprint`](crate::backend::Backend::fingerprint)).
+pub fn key(qasm: &str, backend: &str, fingerprint: u64) -> u128 {
+    Fnv128::new()
+        .write(qasm.as_bytes())
+        .write(&[0xff])
+        .write(backend.as_bytes())
+        .write(&fingerprint.to_le_bytes())
+        .finish()
 }
 
 #[cfg(test)]
@@ -233,11 +149,11 @@ mod tests {
 
     #[test]
     fn keys_separate_circuit_backend_and_fingerprint() {
-        let base = ResultCache::key("qasm-a", "qasm_simulator", 1);
-        assert_eq!(base, ResultCache::key("qasm-a", "qasm_simulator", 1));
-        assert_ne!(base, ResultCache::key("qasm-b", "qasm_simulator", 1));
-        assert_ne!(base, ResultCache::key("qasm-a", "dd_simulator", 1));
-        assert_ne!(base, ResultCache::key("qasm-a", "qasm_simulator", 2));
+        let base = key("qasm-a", "qasm_simulator", 1);
+        assert_eq!(base, key("qasm-a", "qasm_simulator", 1));
+        assert_ne!(base, key("qasm-b", "qasm_simulator", 1));
+        assert_ne!(base, key("qasm-a", "dd_simulator", 1));
+        assert_ne!(base, key("qasm-a", "qasm_simulator", 2));
     }
 
     #[test]
@@ -268,29 +184,12 @@ mod tests {
 
     #[test]
     fn lookup_miss_then_insert_then_hit() {
-        let cache = ResultCache::new(CacheConfig { capacity: 4 });
-        let key = ResultCache::key("qasm", "qasm_simulator", 0);
+        let cache = ResultCache::new(4, &SERIES);
+        let key = key("qasm", "qasm_simulator", 0);
         assert!(cache.lookup(key).is_none());
-        cache.insert(key, &bell_counts(), 4242);
+        cache.insert(key, CacheHit::from_run(&bell_counts(), 4242));
         let hit = cache.lookup(key).expect("cached");
         assert_eq!(hit.producer_trace, 4242, "hit names the producing trace");
         assert_eq!(hit.distribution.sample(10, 1).total(), 10);
-    }
-
-    #[test]
-    fn eviction_removes_the_least_recently_used_entry() {
-        let cache = ResultCache::new(CacheConfig { capacity: 2 });
-        let (a, b, c) = (
-            ResultCache::key("a", "x", 0),
-            ResultCache::key("b", "x", 0),
-            ResultCache::key("c", "x", 0),
-        );
-        cache.insert(a, &bell_counts(), 0);
-        cache.insert(b, &bell_counts(), 0);
-        assert!(cache.lookup(a).is_some(), "touch a so b is LRU");
-        cache.insert(c, &bell_counts(), 0);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(b).is_none(), "b was evicted");
-        assert!(cache.lookup(a).is_some() && cache.lookup(c).is_some());
     }
 }

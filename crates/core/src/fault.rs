@@ -11,6 +11,7 @@
 use crate::backend::Backend;
 use crate::error::{QukitError, Result};
 use qukit_aer::counts::Counts;
+use qukit_obs::hash::{splitmix64, SPLITMIX64_GAMMA};
 use qukit_terra::circuit::QuantumCircuit;
 use qukit_terra::coupling::CouplingMap;
 use std::sync::Mutex;
@@ -86,7 +87,7 @@ impl FaultInjectingBackend {
         // A seeded nonzero mask: flips at least one readout bit of every
         // outcome while preserving the shot total.
         let mask = {
-            let raw = splitmix64(self.seed) & ((1u64 << bits.min(63)) - 1).max(1);
+            let raw = splitmix64(&mut { self.seed }) & ((1u64 << bits.min(63)) - 1).max(1);
             if raw == 0 {
                 1
             } else {
@@ -166,8 +167,8 @@ impl Backend for FaultInjectingBackend {
             FaultMode::CorruptCounts => self
                 .inner
                 .fingerprint()
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(splitmix64(self.seed)),
+                .wrapping_mul(SPLITMIX64_GAMMA)
+                .wrapping_add(splitmix64(&mut { self.seed })),
             _ => self.inner.fingerprint(),
         }
     }
@@ -273,14 +274,6 @@ impl Backend for FallbackChain {
             backend.set_parallel(config);
         }
     }
-}
-
-/// One step of the SplitMix64 sequence; drives count corruption.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -13,10 +13,11 @@
 //!   ([`crate::scheduler`]) with priority classes and admission
 //!   control: a tenant over its queue depth is load-shed with a typed
 //!   [`JobStatus::Rejected`] instead of growing the queue unboundedly;
-//! - an optional write-ahead journal ([`crate::journal`]) makes every
-//!   accepted job crash-safe: on restart the executor replays the log,
-//!   re-enqueues non-terminal jobs exactly once, and deduplicates via
-//!   client idempotency keys;
+//! - an optional write-ahead journal ([`crate::journal`]) lets every
+//!   accepted job survive a process crash (not power loss: records are
+//!   flushed to the OS, not fsynced): on restart the executor replays
+//!   the log, re-enqueues non-terminal jobs exactly once, and
+//!   deduplicates via client idempotency keys;
 //! - an optional content-addressed result cache ([`crate::cache`])
 //!   turns repeat submissions into a cheap re-sample of the cached
 //!   distribution.
@@ -38,7 +39,7 @@
 //! the backoff wait interrupts it promptly instead of finishing the
 //! sleep.
 
-use crate::cache::{CacheConfig, ResultCache};
+use crate::cache::{self, CacheConfig, CacheHit, ResultCache};
 use crate::error::{QukitError, Result};
 use crate::execute::validate_submission;
 use crate::journal::{self, Journal, JournalRecord};
@@ -722,7 +723,7 @@ impl JobExecutor {
         let provider = Arc::new(provider);
         let scheduler = Scheduler::new(config.queue_capacity);
         scheduler.set_tenant(DEFAULT_TENANT, TenantConfig::unbounded());
-        let cache = config.cache.map(ResultCache::new);
+        let cache = config.cache.map(|c| ResultCache::new(c.capacity, &cache::SERIES));
 
         let mut keyed = HashMap::new();
         let mut recovery = None;
@@ -731,7 +732,7 @@ impl JobExecutor {
         let journal_handle = match &config.journal_dir {
             Some(dir) => {
                 let log = journal::replay(dir)?;
-                let handle = Arc::new(Journal::open(dir)?);
+                let handle = Arc::new(Journal::reopen(dir, &log)?);
                 let mut report = RecoveryReport {
                     corrupt_dropped: log.corrupt_dropped,
                     ..RecoveryReport::default()
@@ -923,9 +924,7 @@ impl JobExecutor {
         let qasm = (self.ctx.journal.is_some() || self.ctx.cache.is_some())
             .then(|| qukit_terra::qasm::emit(&prepared));
         let cache_key = match (&self.ctx.cache, &qasm) {
-            (Some(_), Some(qasm)) => {
-                Some(ResultCache::key(qasm, backend_name, backend.fingerprint()))
-            }
+            (Some(_), Some(qasm)) => Some(cache::key(qasm, backend_name, backend.fingerprint())),
             _ => None,
         };
         let job = Job::new(
@@ -937,7 +936,8 @@ impl JobExecutor {
             self.ctx.journal.clone(),
         );
         if let Some(journal) = &self.ctx.journal {
-            // Write-ahead: the submission is durable before it can run.
+            // Write-ahead: the submission survives a process crash
+            // before it can run.
             journal.append(&JournalRecord::Submitted {
                 job_id: id,
                 tenant: opts.tenant.clone(),
@@ -1210,7 +1210,7 @@ fn replay_records(
                             provider
                                 .get_backend(backend)
                                 .ok()
-                                .map(|b| ResultCache::key(qasm, backend, b.fingerprint()))
+                                .map(|b| cache::key(qasm, backend, b.fingerprint()))
                         });
                         // Bypass admission: the job was admitted before
                         // the crash; shedding it now would break
@@ -1449,7 +1449,7 @@ fn run_job(entry: &QueuedJob, ctx: &Arc<WorkerContext>) {
                     Some(&served),
                 );
                 if let (Some(cache), Some(key)) = (&ctx.cache, cache_key) {
-                    cache.insert(*key, &counts, job.trace_id());
+                    cache.insert(*key, CacheHit::from_run(&counts, job.trace_id()));
                 }
                 job.shared.update(|state| {
                     state.executed_on = Some(served);

@@ -9,7 +9,9 @@
 //! # Record format
 //!
 //! One record per line, self-checksummed so a torn tail (the process
-//! died mid-`write`) is detected and dropped rather than misparsed:
+//! died mid-`write`) is detected and dropped rather than misparsed. A
+//! record is whole only with its terminating newline, which the writer
+//! emits in the same `write` as the record:
 //!
 //! ```text
 //! QJ1 <crc32-hex> <single-line JSON payload>\n
@@ -30,15 +32,17 @@
 //! # Replay rules
 //!
 //! On startup the executor reads the journal front to back. A record
-//! that fails the checksum or does not parse ends the scan (everything
-//! after a torn write is untrusted); the count of dropped bytes'
-//! records is reported. A `submitted` record with no matching
-//! `terminal` record is re-enqueued under its original id, tenant,
-//! priority, and idempotency key; one *with* a terminal record is
-//! reconstructed as a finished handle (exactly-once: it will never
-//! re-run). Terminal records without a submitted record are ignored —
-//! they can occur when a crash lands between a worker's terminal
-//! append and nothing else, and are harmless.
+//! that fails the checksum, does not parse or lacks its newline ends the
+//! scan (everything after a torn write is untrusted); the count of
+//! dropped records is reported. [`Journal::reopen`] cuts the dropped
+//! bytes off before appending, so the next replay sees the new records.
+//! A `submitted` record with no matching `terminal` record is
+//! re-enqueued under its original id, tenant, priority, and idempotency
+//! key; one *with* a terminal record is reconstructed as a finished
+//! handle (exactly-once: it will never re-run). Terminal records
+//! without a submitted record are ignored — they can occur when a crash
+//! lands between a worker's terminal append and nothing else, and are
+//! harmless.
 
 use crate::error::{QukitError, Result};
 use crate::scheduler::Priority;
@@ -114,14 +118,18 @@ pub struct ReplayLog {
     /// Lines dropped because of a failed checksum or parse (a torn
     /// tail counts as one).
     pub corrupt_dropped: usize,
+    /// Length in bytes of the trusted prefix: the file up to and
+    /// including the newline of the last whole record.
+    pub trusted_len: u64,
 }
 
 /// The append side of the journal. One instance per executor; appends
 /// are serialized by an internal mutex and flushed per record so a
 /// process crash after `append` returns cannot lose the record.
-/// (`flush` reaches the OS, not the platter — power-loss durability
-/// would need fsync, which this simulator-scale service trades away
-/// for throughput.)
+/// That is the whole durability claim: `flush` reaches the OS, not the
+/// disk, so records can be lost on power loss or a kernel crash.
+/// Surviving those would need fsync, which this simulator-scale service
+/// trades away for throughput.
 pub struct Journal {
     path: PathBuf,
     writer: Mutex<BufWriter<File>>,
@@ -145,6 +153,27 @@ impl Journal {
             QukitError::Job { msg: format!("cannot open journal {}: {e}", path.display()) }
         })?;
         Ok(Self { path, writer: Mutex::new(BufWriter::new(file)), sealed: AtomicBool::new(false) })
+    }
+
+    /// Opens the journal inside `dir` for append after [`replay`] read
+    /// `log` from it. Bytes past the trusted prefix (a torn tail, or a
+    /// corrupt record and everything after it) are cut first, so new
+    /// records are never hidden behind them.
+    pub fn reopen(dir: &Path, log: &ReplayLog) -> Result<Self> {
+        let path = dir.join(JOURNAL_FILE);
+        let cut = |e: std::io::Error| QukitError::Job {
+            msg: format!("cannot cut journal {} to its trusted prefix: {e}", path.display()),
+        };
+        match OpenOptions::new().write(true).open(&path) {
+            Ok(file) => {
+                if file.metadata().map_err(cut)?.len() > log.trusted_len {
+                    file.set_len(log.trusted_len).map_err(cut)?;
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(cut(e)),
+        }
+        Self::open(dir)
     }
 
     /// The journal file path.
@@ -176,10 +205,10 @@ impl Journal {
 /// Reads the journal under `dir` (missing file = empty log).
 pub fn replay(dir: &Path) -> Result<ReplayLog> {
     let path = dir.join(JOURNAL_FILE);
-    let mut text = String::new();
+    let mut bytes = Vec::new();
     match File::open(&path) {
         Ok(mut file) => {
-            file.read_to_string(&mut text).map_err(|e| QukitError::Job {
+            file.read_to_end(&mut bytes).map_err(|e| QukitError::Job {
                 msg: format!("cannot read journal {}: {e}", path.display()),
             })?;
         }
@@ -191,20 +220,23 @@ pub fn replay(dir: &Path) -> Result<ReplayLog> {
         }
     }
     let mut log = ReplayLog::default();
-    let mut lines = text.lines();
+    let mut lines = bytes.split_inclusive(|&b| b == b'\n');
     for line in &mut lines {
-        if line.is_empty() {
-            continue;
-        }
-        match decode_line(line) {
-            Some(record) => log.records.push(record),
-            None => {
-                // First bad line ends the trusted prefix; it and the
-                // rest are dropped.
-                log.corrupt_dropped = 1 + lines.count();
-                break;
+        // A record is whole only with its newline. A torn write can also
+        // split a multi-byte character, so UTF-8 is checked per line.
+        let body = line.strip_suffix(b"\n");
+        if !body.is_some_and(<[u8]>::is_empty) {
+            match body.and_then(|body| std::str::from_utf8(body).ok()).and_then(decode_line) {
+                Some(record) => log.records.push(record),
+                None => {
+                    // First bad line ends the trusted prefix; it and the
+                    // rest are dropped.
+                    log.corrupt_dropped = 1 + lines.count();
+                    break;
+                }
             }
         }
+        log.trusted_len += line.len() as u64;
     }
     Ok(log)
 }
@@ -428,6 +460,53 @@ mod tests {
         let log = replay(&dir).unwrap();
         assert_eq!(log.records.len(), 2);
         assert_eq!(log.corrupt_dropped, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn truncation_at_every_byte_replays_the_whole_records_and_reopens() {
+        let dir = temp_dir("truncate");
+        let journal = Journal::open(&dir).unwrap();
+        let mut records = vec![submitted(1, Some("key-a")), submitted(2, None)];
+        // A multi-byte tenant name, so some cuts split a character.
+        if let JournalRecord::Submitted { tenant, .. } = &mut records[1] {
+            *tenant = "équipe-β".to_owned();
+        }
+        records.push(JournalRecord::Terminal {
+            job_id: 1,
+            status: "DONE".to_owned(),
+            error: None,
+            counts: Some((2, vec![(0, 60), (3, 68)])),
+            executed_on: Some("qasm_simulator".to_owned()),
+        });
+        for record in &records {
+            journal.append(record).unwrap();
+        }
+        drop(journal);
+        let path = dir.join(JOURNAL_FILE);
+        let full = std::fs::read(&path).unwrap();
+        let ends: Vec<usize> =
+            full.iter().enumerate().filter(|&(_, &b)| b == b'\n').map(|(i, _)| i + 1).collect();
+        assert_eq!(ends.len(), records.len());
+        let marker = submitted(99, None);
+
+        for len in 0..=full.len() {
+            std::fs::write(&path, &full[..len]).unwrap();
+            let whole = ends.iter().filter(|&&end| end <= len).count();
+            let log = replay(&dir).unwrap();
+            assert_eq!(log.records, records[..whole], "cut at {len}");
+            let boundary = whole.checked_sub(1).map_or(0, |i| ends[i]);
+            assert_eq!(log.corrupt_dropped, usize::from(len > boundary), "cut at {len}");
+            assert_eq!(log.trusted_len, boundary as u64, "cut at {len}");
+
+            let journal = Journal::reopen(&dir, &log).unwrap();
+            journal.append(&marker).unwrap();
+            drop(journal);
+            let after = replay(&dir).unwrap();
+            assert_eq!(after.corrupt_dropped, 0, "cut at {len}: reopened journal is clean");
+            assert_eq!(after.records.len(), whole + 1, "cut at {len}");
+            assert_eq!(after.records[whole], marker, "cut at {len}: the append is visible");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

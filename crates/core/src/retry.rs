@@ -8,6 +8,7 @@
 //! are reproducible in tests), and how long a single attempt may run
 //! before the worker declares it hung.
 
+use qukit_obs::hash::splitmix64;
 use std::time::Duration;
 
 /// How the job service retries failed attempts.
@@ -125,8 +126,8 @@ impl RetryPolicy {
         let raw = self.base_backoff.as_secs_f64() * self.backoff_factor.powi(exponent);
         let capped = raw.min(self.max_backoff.as_secs_f64());
         // Deterministic jitter in [1-j, 1+j] from (seed, attempt).
-        let unit =
-            splitmix64(self.jitter_seed ^ u64::from(attempt)) as f64 / (u64::MAX as f64 + 1.0);
+        let mut state = self.jitter_seed ^ u64::from(attempt);
+        let unit = splitmix64(&mut state) as f64 / (u64::MAX as f64 + 1.0);
         let factor = 1.0 + self.jitter * (2.0 * unit - 1.0);
         Duration::from_secs_f64((capped * factor).max(0.0))
     }
@@ -136,14 +137,6 @@ impl RetryPolicy {
     pub fn schedule(&self) -> Vec<Duration> {
         (2..=self.max_attempts).map(|a| self.backoff_before(a)).collect()
     }
-}
-
-/// One step of the SplitMix64 sequence; drives the jitter stream.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -398,6 +398,7 @@ pub fn escape(text: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::splitmix64;
 
     #[test]
     fn parses_nested_documents() {
@@ -506,16 +507,6 @@ mod tests {
         assert_eq!(cursor, &JsonValue::Null);
         // And the serialized form round-trips.
         assert_eq!(JsonValue::parse(&value.to_json()).expect("reparse"), value);
-    }
-
-    /// SplitMix64 — the same seeded-RNG discipline the simulators and
-    /// the conformance generator use.
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
     }
 
     fn random_string(state: &mut u64) -> String {

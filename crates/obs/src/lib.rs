@@ -33,7 +33,9 @@
 //! assert!(qukit_obs::export::to_json(&snapshot).contains("qukit-metrics/v1"));
 //! ```
 
+pub mod cache;
 pub mod export;
+pub mod hash;
 pub mod http;
 pub mod json;
 pub mod registry;

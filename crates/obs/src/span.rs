@@ -112,18 +112,12 @@ const ID_SEED: u64 = 0x71c9_4a2f_8e5d_3b07;
 
 static ID_SEQUENCE: AtomicU64 = AtomicU64::new(0);
 
-fn splitmix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Mints the next process-unique 53-bit id (never 0). 53 bits so an id
 /// survives a JSON `f64` number roundtrip exactly.
 pub fn next_id() -> u64 {
     loop {
         let n = ID_SEQUENCE.fetch_add(1, Ordering::Relaxed);
-        let id = splitmix64(n.wrapping_add(ID_SEED)) >> 11;
+        let id = crate::hash::splitmix64_mix(n.wrapping_add(ID_SEED)) >> 11;
         if id != 0 {
             return id;
         }

@@ -10,7 +10,10 @@
 //! [`TranspileResult`]** on a hit — bit-identical to a fresh transpile,
 //! because [`super::transpile`] itself is deterministic.
 //!
-//! Hits and misses are observable through
+//! Storage, LRU eviction and counting are the shared
+//! [`qukit_obs::cache::ContentCache`]; this module owns only the key,
+//! the process-wide instance and [`transpile_cached`]. Hits and misses
+//! are observable through
 //! `qukit_terra_transpile_cache_{hits,misses,inserts,evictions}_total`
 //! and the `qukit_terra_transpile_cache_entries` gauge; `qukit bench
 //! --transpile` uses the same path to prove the ≥10× hit/cold speedup.
@@ -18,170 +21,65 @@
 use super::{transpile, TranspileOptions, TranspileResult};
 use crate::circuit::QuantumCircuit;
 use crate::error::Result;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use qukit_obs::cache::{CacheSeries, ContentCache};
+use qukit_obs::hash::Fnv128;
+use std::sync::OnceLock;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_step(hash: u64, byte: u8) -> u64 {
-    (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
-}
-
-/// Counters describing cache behaviour, as observed by tests and the
-/// bench harness (the obs counters carry the same values globally).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that returned a stored result.
-    pub hits: u64,
-    /// Lookups that fell through to the pipeline.
-    pub misses: u64,
-    /// Results stored.
-    pub inserts: u64,
-    /// Entries evicted by the LRU policy.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-}
-
-struct Entry {
-    result: TranspileResult,
-    last_used: u64,
-}
-
-struct CacheState {
-    entries: HashMap<u128, Entry>,
-    tick: u64,
-    stats: CacheStats,
-}
+pub use qukit_obs::cache::CacheStats;
 
 /// A bounded LRU cache of transpile results.
-pub struct TranspileCache {
-    state: Mutex<CacheState>,
-    capacity: usize,
-}
+pub type TranspileCache = ContentCache<TranspileResult>;
 
-impl TranspileCache {
-    /// Creates a cache bounded to `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            state: Mutex::new(CacheState {
-                entries: HashMap::new(),
-                tick: 0,
-                stats: CacheStats::default(),
-            }),
-            capacity: capacity.max(1),
-        }
+/// The series every transpile cache records into.
+pub static SERIES: CacheSeries = CacheSeries {
+    hits: "qukit_terra_transpile_cache_hits_total",
+    misses: "qukit_terra_transpile_cache_misses_total",
+    inserts: "qukit_terra_transpile_cache_inserts_total",
+    evictions: "qukit_terra_transpile_cache_evictions_total",
+    entries: "qukit_terra_transpile_cache_entries",
+};
+
+/// Content hash of a transpile request. Every input that can change the
+/// output is folded in: the full instruction stream (operations,
+/// operands, conditions, global phase, register shape), the coupling map
+/// (name, size and exact edge set), and all routing/optimization
+/// options. Two different opt levels, coupling maps or basis settings
+/// therefore never share a key.
+pub fn key(circuit: &QuantumCircuit, options: &TranspileOptions) -> u128 {
+    let mut hasher = Fnv128::new();
+    hasher
+        .field(&(circuit.num_qubits() as u64).to_le_bytes())
+        .field(&(circuit.num_clbits() as u64).to_le_bytes())
+        .field(&circuit.global_phase().to_bits().to_le_bytes());
+    for inst in circuit.instructions() {
+        hasher.field(format!("{inst:?}").as_bytes());
     }
 
-    /// Content hash of a transpile request. Every input that can change
-    /// the output is folded in: the full instruction stream (operations,
-    /// operands, conditions, global phase, register shape), the coupling
-    /// map (name, size and exact edge set), and all routing/optimization
-    /// options. Two different opt levels, coupling maps or basis settings
-    /// therefore never share a key.
-    pub fn key(circuit: &QuantumCircuit, options: &TranspileOptions) -> u128 {
-        let mut lo = FNV_OFFSET;
-        let mut hi = FNV_OFFSET ^ 0x5bd1_e995_9d02_9c4f;
-        let mut feed = |bytes: &[u8]| {
-            for &byte in bytes {
-                lo = fnv_step(lo, byte);
-                hi = fnv_step(hi, byte.wrapping_add(0x33));
-            }
-            // Separator so adjacent fields cannot alias.
-            lo = fnv_step(lo, 0xff);
-            hi = fnv_step(hi, 0xff);
-        };
-
-        feed(&(circuit.num_qubits() as u64).to_le_bytes());
-        feed(&(circuit.num_clbits() as u64).to_le_bytes());
-        feed(&circuit.global_phase().to_bits().to_le_bytes());
-        for inst in circuit.instructions() {
-            feed(format!("{inst:?}").as_bytes());
-        }
-
-        match &options.coupling_map {
-            Some(map) => {
-                feed(b"coupled");
-                feed(map.name().as_bytes());
-                feed(&(map.num_qubits() as u64).to_le_bytes());
-                for (a, b) in map.edges() {
-                    feed(&(a as u64).to_le_bytes());
-                    feed(&(b as u64).to_le_bytes());
-                }
-            }
-            None => feed(b"all-to-all"),
-        }
-        feed(format!("{:?}", options.mapper).as_bytes());
-        feed(format!("{:?}", options.initial_layout).as_bytes());
-        feed(&[options.optimization_level, u8::from(options.basis_u)]);
-
-        (u128::from(hi) << 64) | u128::from(lo)
-    }
-
-    /// Looks a result up, updating LRU recency and hit/miss counters.
-    pub fn lookup(&self, key: u128) -> Option<TranspileResult> {
-        let mut state = self.state.lock().expect("transpile cache lock");
-        state.tick += 1;
-        let tick = state.tick;
-        match state.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let result = entry.result.clone();
-                state.stats.hits += 1;
-                qukit_obs::counter_inc("qukit_terra_transpile_cache_hits_total");
-                Some(result)
-            }
-            None => {
-                state.stats.misses += 1;
-                qukit_obs::counter_inc("qukit_terra_transpile_cache_misses_total");
-                None
+    match &options.coupling_map {
+        Some(map) => {
+            hasher
+                .field(b"coupled")
+                .field(map.name().as_bytes())
+                .field(&(map.num_qubits() as u64).to_le_bytes());
+            for (a, b) in map.edges() {
+                hasher.field(&(a as u64).to_le_bytes()).field(&(b as u64).to_le_bytes());
             }
         }
-    }
-
-    /// Stores a result, evicting the least-recently-used entry when full.
-    pub fn insert(&self, key: u128, result: TranspileResult) {
-        let mut state = self.state.lock().expect("transpile cache lock");
-        state.tick += 1;
-        let tick = state.tick;
-        if !state.entries.contains_key(&key) && state.entries.len() >= self.capacity {
-            if let Some(&victim) =
-                state.entries.iter().min_by_key(|(_, entry)| entry.last_used).map(|(key, _)| key)
-            {
-                state.entries.remove(&victim);
-                state.stats.evictions += 1;
-                qukit_obs::counter_inc("qukit_terra_transpile_cache_evictions_total");
-            }
+        None => {
+            hasher.field(b"all-to-all");
         }
-        state.entries.insert(key, Entry { result, last_used: tick });
-        state.stats.inserts += 1;
-        state.stats.entries = state.entries.len();
-        qukit_obs::counter_inc("qukit_terra_transpile_cache_inserts_total");
-        qukit_obs::gauge_set("qukit_terra_transpile_cache_entries", state.entries.len() as f64);
     }
-
-    /// Current stats snapshot.
-    pub fn stats(&self) -> CacheStats {
-        let state = self.state.lock().expect("transpile cache lock");
-        let mut stats = state.stats;
-        stats.entries = state.entries.len();
-        stats
-    }
-
-    /// Empties the cache and resets the stats (tests and benchmarks).
-    pub fn clear(&self) {
-        let mut state = self.state.lock().expect("transpile cache lock");
-        state.entries.clear();
-        state.stats = CacheStats::default();
-        qukit_obs::gauge_set("qukit_terra_transpile_cache_entries", 0.0);
-    }
+    hasher
+        .field(format!("{:?}", options.mapper).as_bytes())
+        .field(format!("{:?}", options.initial_layout).as_bytes())
+        .field(&[options.optimization_level, u8::from(options.basis_u)])
+        .finish()
 }
 
 /// The process-wide transpile cache used by [`transpile_cached`].
 pub fn global() -> &'static TranspileCache {
     static CACHE: OnceLock<TranspileCache> = OnceLock::new();
-    CACHE.get_or_init(|| TranspileCache::new(256))
+    CACHE.get_or_init(|| TranspileCache::new(256, &SERIES))
 }
 
 /// [`transpile`] through the process-wide cache: a hit returns a clone of
@@ -195,7 +93,7 @@ pub fn transpile_cached(
     circuit: &QuantumCircuit,
     options: &TranspileOptions,
 ) -> Result<TranspileResult> {
-    let key = TranspileCache::key(circuit, options);
+    let key = key(circuit, options);
     if let Some(result) = global().lookup(key) {
         return Ok(result);
     }
@@ -215,43 +113,26 @@ mod tests {
     fn keys_separate_every_option_dimension() {
         let circ = fig1_circuit();
         let base_opts = TranspileOptions::for_device(CouplingMap::ibm_qx4());
-        let base = TranspileCache::key(&circ, &base_opts);
-        assert_eq!(base, TranspileCache::key(&circ, &base_opts), "key is deterministic");
+        let base = key(&circ, &base_opts);
+        assert_eq!(base, key(&circ, &base_opts), "key is deterministic");
 
         let mut level = base_opts.clone();
         level.optimization_level = 3;
-        assert_ne!(base, TranspileCache::key(&circ, &level));
+        assert_ne!(base, key(&circ, &level));
 
         let mut mapper = base_opts.clone();
         mapper.mapper = MapperKind::AStar;
-        assert_ne!(base, TranspileCache::key(&circ, &mapper));
+        assert_ne!(base, key(&circ, &mapper));
 
         let mut basis = base_opts.clone();
         basis.basis_u = true;
-        assert_ne!(base, TranspileCache::key(&circ, &basis));
+        assert_ne!(base, key(&circ, &basis));
 
         let line = TranspileOptions::for_device(CouplingMap::line(5));
-        assert_ne!(base, TranspileCache::key(&circ, &line));
+        assert_ne!(base, key(&circ, &line));
 
         let mut other_circ = circ.clone();
         other_circ.h(0).unwrap();
-        assert_ne!(base, TranspileCache::key(&other_circ, &base_opts));
-    }
-
-    #[test]
-    fn lru_evicts_oldest_and_counts() {
-        let cache = TranspileCache::new(2);
-        let circ = fig1_circuit();
-        let opts = TranspileOptions::for_simulator(1);
-        let result = transpile(&circ, &opts).unwrap();
-        cache.insert(1, result.clone());
-        cache.insert(2, result.clone());
-        assert!(cache.lookup(1).is_some(), "refresh key 1");
-        cache.insert(3, result);
-        let stats = cache.stats();
-        assert_eq!(stats.evictions, 1);
-        assert!(cache.lookup(2).is_none(), "key 2 was least recently used");
-        assert!(cache.lookup(1).is_some() && cache.lookup(3).is_some());
-        assert_eq!(cache.stats().entries, 2);
+        assert_ne!(base, key(&other_circ, &base_opts));
     }
 }

@@ -5,15 +5,16 @@
 //! logical qubits on physical ones, (b) inserting SWAPs when interacting
 //! qubits drift apart, and (c) fixing CNOT directions with Hadamard
 //! conjugation. Minimizing the inserted gates is NP-hard [Botea et al.,
-//! SoCS'18], so three strategies of increasing quality are provided:
+//! SoCS'18], so three strategies are provided:
 //!
 //! * [`MapperKind::Basic`] — the naive strategy of early Qiskit `compile`:
 //!   route every CNOT independently along a shortest path (Fig. 4a);
-//! * [`MapperKind::Lookahead`] — greedy SWAP selection scored over the
-//!   current front layer plus a lookahead window (SABRE-style);
 //! * [`MapperKind::AStar`] — per-layer A* search for a minimal SWAP
 //!   sequence, after Zulehner-Paler-Wille (TCAD'18) — the "improved
-//!   mapping" of Fig. 4b.
+//!   mapping" of Fig. 4b;
+//! * [`MapperKind::Sabre`] — the default: SABRE's decay-weighted swap
+//!   scoring with a bidirectional layout search (Li-Ding-Xie, ASPLOS'19),
+//!   which ties or beats A* on every routing golden.
 
 use crate::circuit::QuantumCircuit;
 use crate::coupling::CouplingMap;
@@ -29,14 +30,13 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 pub enum MapperKind {
     /// Naive shortest-path routing of each CNOT independently.
     Basic,
-    /// Greedy front-layer + lookahead-window swap selection.
-    #[default]
-    Lookahead,
     /// Per-layer A* search for minimal swap sequences.
     AStar,
     /// SABRE (Li-Ding-Xie, ASPLOS'19): decay-weighted front + extended-set
     /// swap scoring, with bidirectional forward/reverse traversals that
-    /// refine the initial layout before the final routing pass.
+    /// refine the initial layout before the final routing pass. The
+    /// default router of the library and the CLI.
+    #[default]
     Sabre,
 }
 
@@ -298,7 +298,6 @@ pub fn map_circuit(
     let mut ctx = MappingContext::new(circuit, map, layout)?;
     match kind {
         MapperKind::Basic => ctx.run_basic()?,
-        MapperKind::Lookahead => ctx.run_lookahead()?,
         MapperKind::AStar => ctx.run_astar()?,
         MapperKind::Sabre => ctx.run_sabre()?,
     }
@@ -444,7 +443,7 @@ impl<'a> MappingContext<'a> {
         Ok(())
     }
 
-    // --- Dependency tracking shared by lookahead and A* -------------------
+    // --- Dependency tracking shared by SABRE and A* ------------------------
 
     /// Builds, per instruction, the count of unexecuted same-wire
     /// predecessors, and the ready queue.
@@ -498,133 +497,16 @@ impl<'a> MappingContext<'a> {
         self.dist[pc][pt]
     }
 
-    // --- Lookahead mapper -------------------------------------------------
-
-    fn run_lookahead(&mut self) -> Result<()> {
-        const LOOKAHEAD_WINDOW: usize = 20;
-        const LOOKAHEAD_WEIGHT: f64 = 0.5;
-        let insts = self.source.instructions();
-        let mut dep = self.dependency_state();
-        let mut last_swap: Option<(usize, usize)> = None;
-        let mut stall_counter = 0usize;
-        let stall_limit = 4 * self.map.num_qubits() * self.map.num_qubits() + 16;
-
-        loop {
-            // Execute everything executable in the ready queue.
-            let mut progressed = true;
-            while progressed {
-                progressed = false;
-                let snapshot: Vec<usize> = dep.ready.iter().copied().collect();
-                for i in snapshot {
-                    if dep.done[i] {
-                        continue;
-                    }
-                    let inst = &insts[i];
-                    let executable =
-                        !inst.op.is_gate() || inst.qubits.len() < 2 || self.is_executable(inst);
-                    if executable {
-                        dep.ready.retain(|&x| x != i);
-                        self.emit_relabel(inst)?;
-                        self.complete(&mut dep, i);
-                        progressed = true;
-                        last_swap = None;
-                        stall_counter = 0;
-                    }
-                }
-            }
-            // Collect the blocked front layer.
-            let front: Vec<usize> = dep.ready.iter().copied().collect();
-            if front.is_empty() {
-                break;
-            }
-            // Lookahead window: next 2q gates in program order not yet done.
-            let window: Vec<usize> = (0..insts.len())
-                .filter(|&i| {
-                    !dep.done[i]
-                        && !front.contains(&i)
-                        && insts[i].op.is_gate()
-                        && insts[i].qubits.len() == 2
-                })
-                .take(LOOKAHEAD_WINDOW)
-                .collect();
-
-            // Candidate swaps: edges touching the physical homes of front
-            // gate operands.
-            let mut candidates: Vec<(usize, usize)> = Vec::new();
-            for &i in &front {
-                for &l in &insts[i].qubits {
-                    let p = self.layout.physical(l).expect("complete layout");
-                    for nb in self.map.neighbors(p) {
-                        let e = (p.min(nb), p.max(nb));
-                        if !candidates.contains(&e) {
-                            candidates.push(e);
-                        }
-                    }
-                }
-            }
-            let l2p = self.layout.to_physical_vec();
-            let mut best: Option<((usize, usize), f64)> = None;
-            for &(p1, p2) in &candidates {
-                if last_swap == Some((p1, p2)) && candidates.len() > 1 {
-                    continue; // forbid immediately undoing the last swap
-                }
-                // Layout after the candidate swap.
-                let mut trial = l2p.clone();
-                for v in trial.iter_mut() {
-                    if *v == p1 {
-                        *v = p2;
-                    } else if *v == p2 {
-                        *v = p1;
-                    }
-                }
-                let front_cost: usize =
-                    front.iter().map(|&i| self.gate_distance(&trial, &insts[i])).sum();
-                let window_cost: usize =
-                    window.iter().map(|&i| self.gate_distance(&trial, &insts[i])).sum();
-                let score = front_cost as f64
-                    + if window.is_empty() {
-                        0.0
-                    } else {
-                        LOOKAHEAD_WEIGHT * window_cost as f64 / window.len() as f64
-                    };
-                if best.is_none_or(|(_, s)| score < s) {
-                    best = Some(((p1, p2), score));
-                }
-            }
-            stall_counter += 1;
-            if stall_counter > stall_limit {
-                // Safeguard: route the first blocked gate directly.
-                let i = front[0];
-                let (pc, pt) = self.physical_pair(&insts[i]);
-                let path = self.map.shortest_path(pc, pt).ok_or_else(|| {
-                    TerraError::CouplingMap { msg: format!("no path between Q{pc} and Q{pt}") }
-                })?;
-                for w in path.windows(2).take(path.len().saturating_sub(2)) {
-                    self.emit_swap(w[0], w[1])?;
-                }
-                stall_counter = 0;
-                continue;
-            }
-            let ((p1, p2), _) = best.ok_or_else(|| TerraError::CouplingMap {
-                msg: "no candidate swap available".to_owned(),
-            })?;
-            self.emit_swap(p1, p2)?;
-            last_swap = Some((p1, p2));
-        }
-        Ok(())
-    }
-
     // --- SABRE mapper -------------------------------------------------------
 
     /// One SABRE routing traversal: decay-weighted scoring over the blocked
     /// front layer plus an extended set of upcoming two-qubit gates.
     ///
-    /// Differences from [`Self::run_lookahead`]: front and extended costs
-    /// are *averaged* (so a large extended set cannot drown out the front
-    /// layer), and each candidate swap's score is scaled by a per-qubit
-    /// decay factor that grows every time a qubit participates in a swap —
-    /// spreading consecutive swaps across the device instead of ping-
-    /// ponging one pair (the ASPLOS'19 heuristic).
+    /// Front and extended costs are *averaged* (so a large extended set
+    /// cannot drown out the front layer), and each candidate swap's score
+    /// is scaled by a per-qubit decay factor that grows every time a qubit
+    /// participates in a swap — spreading consecutive swaps across the
+    /// device instead of ping-ponging one pair (the ASPLOS'19 heuristic).
     fn run_sabre(&mut self) -> Result<()> {
         const EXTENDED_SIZE: usize = 20;
         const EXTENDED_WEIGHT: f64 = 0.5;
@@ -1000,8 +882,7 @@ mod tests {
     fn fig1_on_qx4_all_mappers_equivalent() {
         let circ = fig1_circuit();
         let qx4 = CouplingMap::ibm_qx4();
-        for kind in [MapperKind::Basic, MapperKind::Lookahead, MapperKind::AStar, MapperKind::Sabre]
-        {
+        for kind in [MapperKind::Basic, MapperKind::AStar, MapperKind::Sabre] {
             assert_mapping_equivalent(&circ, &qx4, kind);
         }
     }
@@ -1026,8 +907,7 @@ mod tests {
         circ.h(0).unwrap();
         circ.cx(1, 0).unwrap();
         let qx4 = CouplingMap::ibm_qx4();
-        for kind in [MapperKind::Basic, MapperKind::Lookahead, MapperKind::AStar, MapperKind::Sabre]
-        {
+        for kind in [MapperKind::Basic, MapperKind::AStar, MapperKind::Sabre] {
             let r = map_circuit(&circ, &qx4, kind, &InitialLayout::Trivial).unwrap();
             assert_eq!(r.num_swaps, 0, "{kind:?}");
             assert_eq!(r.initial_layout, r.final_layout);
@@ -1069,7 +949,7 @@ mod tests {
             circ.measure(q, q).unwrap();
         }
         let line = CouplingMap::line(3);
-        let r = map_circuit(&circ, &line, MapperKind::Lookahead, &InitialLayout::Trivial).unwrap();
+        let r = map_circuit(&circ, &line, MapperKind::Sabre, &InitialLayout::Trivial).unwrap();
         // Every measurement's qubit must be the physical home of its logical
         // qubit at measure time (final layout, since measures come last).
         for inst in r.circuit.instructions() {
@@ -1105,9 +985,7 @@ mod tests {
                 }
             }
             let map = if trial % 2 == 0 { CouplingMap::line(n) } else { CouplingMap::ibm_qx5() };
-            for kind in
-                [MapperKind::Basic, MapperKind::Lookahead, MapperKind::AStar, MapperKind::Sabre]
-            {
+            for kind in [MapperKind::Basic, MapperKind::AStar, MapperKind::Sabre] {
                 assert_mapping_equivalent(&circ, &map, kind);
             }
         }
@@ -1162,13 +1040,9 @@ mod tests {
     fn custom_layout_is_respected_and_validated() {
         let circ = fig1_circuit();
         let qx4 = CouplingMap::ibm_qx4();
-        let r = map_circuit(
-            &circ,
-            &qx4,
-            MapperKind::Lookahead,
-            &InitialLayout::Custom(vec![4, 3, 2, 1]),
-        )
-        .unwrap();
+        let r =
+            map_circuit(&circ, &qx4, MapperKind::Sabre, &InitialLayout::Custom(vec![4, 3, 2, 1]))
+                .unwrap();
         assert_eq!(r.initial_layout, vec![4, 3, 2, 1]);
         assert!(
             choose_initial_layout(&circ, &qx4, &InitialLayout::Custom(vec![0, 0, 1, 2])).is_err()

@@ -85,13 +85,13 @@ pub struct TranspileOptions {
 }
 
 impl TranspileOptions {
-    /// Default options targeting a specific device: lookahead mapper,
-    /// optimization level 1.
+    /// Default options targeting a specific device: the default router
+    /// ([`MapperKind::Sabre`]), optimization level 1.
     pub fn for_device(map: CouplingMap) -> Self {
         Self {
             coupling_map: Some(map),
             initial_layout: InitialLayout::Trivial,
-            mapper: MapperKind::Lookahead,
+            mapper: MapperKind::default(),
             optimization_level: 1,
             basis_u: false,
         }
@@ -201,7 +201,7 @@ mod tests {
         let circ = fig1_circuit();
         let qx4 = CouplingMap::ibm_qx4();
         for level in 0..=3 {
-            for mapper in [MapperKind::Basic, MapperKind::Lookahead, MapperKind::AStar] {
+            for mapper in [MapperKind::Basic, MapperKind::AStar, MapperKind::Sabre] {
                 let mut opts = TranspileOptions::for_device(qx4.clone());
                 opts.mapper = mapper;
                 opts.optimization_level = level;

@@ -460,7 +460,7 @@ mod tests {
         assert!(props.final_layout.is_some());
         assert!(props.get_int("analysis.input.depth").is_some());
         assert!(props.get_int("analysis.output.gates").is_some());
-        assert_eq!(props.get_text("mapping.router"), Some("lookahead"));
+        assert_eq!(props.get_text("mapping.router"), Some("sabre"));
         assert_eq!(out.num_qubits(), 5, "mapped onto the device register");
     }
 

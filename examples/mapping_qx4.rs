@@ -23,11 +23,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut fig4a = None;
     let mut fig4b = None;
-    for (mapper, label) in [
-        (MapperKind::Basic, "basic"),
-        (MapperKind::Lookahead, "lookahead"),
-        (MapperKind::AStar, "astar"),
-    ] {
+    for (mapper, label) in
+        [(MapperKind::Basic, "basic"), (MapperKind::Sabre, "sabre"), (MapperKind::AStar, "astar")]
+    {
         for level in [0u8, 3] {
             let options = TranspileOptions {
                 coupling_map: Some(qx4.clone()),

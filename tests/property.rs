@@ -123,7 +123,7 @@ proptest! {
     #[test]
     fn transpilation_to_qx4_is_equivalent(circ in circuit_strategy(4, 14)) {
         let qx4 = CouplingMap::ibm_qx4();
-        for mapper in [MapperKind::Basic, MapperKind::Lookahead, MapperKind::AStar] {
+        for mapper in [MapperKind::Basic, MapperKind::Sabre, MapperKind::AStar] {
             let options = TranspileOptions {
                 coupling_map: Some(qx4.clone()),
                 mapper,

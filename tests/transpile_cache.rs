@@ -59,7 +59,7 @@ fn transpile_cache_end_to_end() {
     // a plain hit where the pipeline differs.
     let mut variants = Vec::new();
     for level in 0..=3u8 {
-        for mapper in [MapperKind::Lookahead, MapperKind::AStar, MapperKind::Sabre] {
+        for mapper in [MapperKind::Basic, MapperKind::AStar, MapperKind::Sabre] {
             let mut v = opts.clone();
             v.optimization_level = level;
             v.mapper = mapper;
