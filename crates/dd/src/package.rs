@@ -25,16 +25,20 @@
 //! * the add/mv/mm compute tables are fixed-size, direct-mapped and
 //!   *lossy* — collisions evict, so cache cost is O(1) and memory is
 //!   bounded regardless of circuit depth;
-//! * nodes live in free-list arenas with external reference counts; a
-//!   threshold-triggered mark-and-sweep GC ([`DdPackage::maybe_collect`])
-//!   reclaims everything unreachable from rc-protected roots, so long
-//!   multi-gate runs no longer grow without bound.
+//! * nodes and weights live in free-list arenas with external reference
+//!   counts; a threshold-triggered mark-and-sweep GC
+//!   ([`DdPackage::maybe_collect`]) reclaims every node unreachable from
+//!   rc-protected roots and every weight no surviving edge names (the
+//!   complex-table GC of the JKU package), so long multi-gate runs no
+//!   longer grow without bound.
 //!
 //! GC only ever runs inside [`DdPackage::collect_garbage`] /
 //! [`DdPackage::maybe_collect`] — never implicitly during an operation —
-//! so edges held across a collection are valid iff their root was
-//! protected with [`DdPackage::inc_ref`] (vectors) or
-//! [`DdPackage::inc_ref_matrix`] (matrices).
+//! so edges held across a collection are valid iff they were protected
+//! with [`DdPackage::inc_ref`] (vectors) or [`DdPackage::inc_ref_matrix`]
+//! (matrices). Protection covers the edge's top weight too, terminal edges
+//! included. A [`WeightId`] taken from an unprotected edge is invalid after
+//! a collection: its slot may be reused for a different value.
 
 use crate::tables::{fx_word, pack_edge, ComputeTable, UniqueTable, WeightTable};
 use qukit_terra::complex::Complex;
@@ -119,6 +123,29 @@ fn hash_mnode(node: &MNode) -> u64 {
 /// Tolerance for identifying complex weights (see the complex table).
 pub(crate) const WEIGHT_TOLERANCE: f64 = 1e-10;
 
+/// The tolerance bucket a (snapped) weight value is filed under in the
+/// weight table.
+#[inline]
+fn weight_key(value: Complex) -> (i64, i64) {
+    ((value.re / WEIGHT_TOLERANCE).round() as i64, (value.im / WEIGHT_TOLERANCE).round() as i64)
+}
+
+/// Adds one reference (saturating: a count that reaches `u32::MAX` stays
+/// pinned).
+#[inline]
+fn inc_rc(rc: &mut u32) {
+    *rc = rc.saturating_add(1);
+}
+
+/// Drops one reference added by [`inc_rc`].
+#[inline]
+fn dec_rc(rc: &mut u32) {
+    debug_assert!(*rc > 0, "dec_ref without matching inc_ref");
+    if *rc != u32::MAX {
+        *rc -= 1;
+    }
+}
+
 /// Initial unique-table capacity (slots; grows by doubling).
 const UNIQUE_BITS: u32 = 12;
 /// Fixed compute-table capacity (entries; never grows — lossy).
@@ -145,6 +172,8 @@ const DEFAULT_GC_THRESHOLD: usize = 16_384;
 pub struct DdPackage {
     num_qubits: usize,
     weights: Vec<Complex>,
+    wrc: Vec<u32>,
+    wfree: Vec<WeightId>,
     weight_table: WeightTable,
     vnodes: Vec<VNode>,
     vrc: Vec<u32>,
@@ -188,6 +217,8 @@ pub struct DdStats {
     pub gc_runs: u64,
     /// Nodes returned to the free lists across all collections.
     pub gc_reclaimed: u64,
+    /// Weights returned to the weight free list across all collections.
+    pub weights_reclaimed: u64,
 }
 
 impl DdPackage {
@@ -201,6 +232,8 @@ impl DdPackage {
         let mut package = Self {
             num_qubits,
             weights: Vec::new(),
+            wrc: Vec::new(),
+            wfree: Vec::new(),
             weight_table: WeightTable::new(WEIGHT_BITS),
             // Index 0 is a placeholder for the shared terminal in both
             // arenas; level 0 and zero successors, never dereferenced.
@@ -263,8 +296,7 @@ impl DdPackage {
         let re = if value.re.abs() < WEIGHT_TOLERANCE { 0.0 } else { value.re };
         let im = if value.im.abs() < WEIGHT_TOLERANCE { 0.0 } else { value.im };
         let value = Complex::new(re, im);
-        let kr = (re / WEIGHT_TOLERANCE).round() as i64;
-        let ki = (im / WEIGHT_TOLERANCE).round() as i64;
+        let (kr, ki) = weight_key(value);
         // Check the home bucket first (the overwhelmingly common hit),
         // then the 8 neighbours (values straddling a bucket boundary must
         // still unify).
@@ -282,8 +314,17 @@ impl DdPackage {
                 return id;
             }
         }
-        let id = self.weights.len() as WeightId;
-        self.weights.push(value);
+        let id = match self.wfree.pop() {
+            Some(id) => {
+                self.weights[id as usize] = value;
+                id
+            }
+            None => {
+                self.weights.push(value);
+                self.wrc.push(0);
+                (self.weights.len() - 1) as WeightId
+            }
+        };
         self.weight_table.insert((kr, ki), id);
         id
     }
@@ -371,42 +412,44 @@ impl DdPackage {
         self.peak_live
     }
 
-    /// Protects a vector edge's root from garbage collection (saturating).
+    /// Live interned weights (allocated minus free-listed, counting the
+    /// canonical 0 and 1).
+    pub fn live_weights(&self) -> usize {
+        self.weights.len() - self.wfree.len()
+    }
+
+    /// Protects a vector edge — its root node and its top weight — from
+    /// garbage collection (saturating).
     pub fn inc_ref(&mut self, edge: Edge) {
         if edge.node != TERMINAL {
-            let rc = &mut self.vrc[edge.node as usize];
-            *rc = rc.saturating_add(1);
+            inc_rc(&mut self.vrc[edge.node as usize]);
         }
+        inc_rc(&mut self.wrc[edge.weight as usize]);
     }
 
-    /// Releases one vector-root protection.
+    /// Releases one vector-edge protection.
     pub fn dec_ref(&mut self, edge: Edge) {
         if edge.node != TERMINAL {
-            let rc = &mut self.vrc[edge.node as usize];
-            debug_assert!(*rc > 0, "dec_ref without matching inc_ref");
-            if *rc != u32::MAX {
-                *rc -= 1;
-            }
+            dec_rc(&mut self.vrc[edge.node as usize]);
         }
+        dec_rc(&mut self.wrc[edge.weight as usize]);
     }
 
-    /// Protects a matrix edge's root from garbage collection (saturating).
+    /// Protects a matrix edge — its root node and its top weight — from
+    /// garbage collection (saturating).
     pub fn inc_ref_matrix(&mut self, edge: Edge) {
         if edge.node != TERMINAL {
-            let rc = &mut self.mrc[edge.node as usize];
-            *rc = rc.saturating_add(1);
+            inc_rc(&mut self.mrc[edge.node as usize]);
         }
+        inc_rc(&mut self.wrc[edge.weight as usize]);
     }
 
-    /// Releases one matrix-root protection.
+    /// Releases one matrix-edge protection.
     pub fn dec_ref_matrix(&mut self, edge: Edge) {
         if edge.node != TERMINAL {
-            let rc = &mut self.mrc[edge.node as usize];
-            debug_assert!(*rc > 0, "dec_ref_matrix without matching inc_ref_matrix");
-            if *rc != u32::MAX {
-                *rc -= 1;
-            }
+            dec_rc(&mut self.mrc[edge.node as usize]);
         }
+        dec_rc(&mut self.wrc[edge.weight as usize]);
     }
 
     /// Overrides the live-node threshold that arms
@@ -435,10 +478,12 @@ impl DdPackage {
     }
 
     /// Mark-and-sweep collection: every node unreachable from a
-    /// reference-counted root moves to the free list, the unique tables
-    /// are rebuilt from the survivors, and the compute tables are
-    /// invalidated (their entries may name reclaimed nodes). Returns the
-    /// number of reclaimed nodes.
+    /// reference-counted root moves to the free list, then every weight
+    /// that no protected edge and no surviving node names. The unique
+    /// tables and the weight table are rebuilt from the survivors, and the
+    /// compute tables are invalidated (their entries may name reclaimed
+    /// nodes or weights). Weight ids are not compacted, so a protected
+    /// edge's weight id stays valid. Returns the number of reclaimed nodes.
     pub fn collect_garbage(&mut self) -> usize {
         // -- Mark (vectors) --
         let mut vmark = vec![false; self.vnodes.len()];
@@ -516,12 +561,45 @@ impl DdPackage {
                 });
             }
         }
+        self.collect_weights();
         // Cached results may point at reclaimed (or about-to-be-reused)
-        // node ids: drop everything.
+        // node and weight ids: drop everything.
         self.reset_compute_tables();
         self.stats.gc_runs += 1;
         self.stats.gc_reclaimed += reclaimed as u64;
         reclaimed
+    }
+
+    /// Weight half of [`collect_garbage`](Self::collect_garbage), run after
+    /// the node sweep: the roots are the canonical 0 and 1, every weight
+    /// with `wrc > 0`, and every successor weight of a surviving node.
+    /// Every other slot goes to the free list (lowest ids are reused
+    /// first), and the weight table is rebuilt from the survivors.
+    fn collect_weights(&mut self) {
+        let mut wmark: Vec<bool> = self.wrc.iter().map(|&rc| rc > 0).collect();
+        wmark[W_ZERO as usize] = true;
+        wmark[W_ONE as usize] = true;
+        let vsucc =
+            self.vnodes.iter().skip(1).filter(|n| n.level != FREE_LEVEL).flat_map(|n| n.succ);
+        let msucc =
+            self.mnodes.iter().skip(1).filter(|n| n.level != FREE_LEVEL).flat_map(|n| n.succ);
+        for edge in vsucc.chain(msucc) {
+            wmark[edge.weight as usize] = true;
+        }
+        let free_before = self.wfree.len();
+        self.wfree.clear();
+        self.weight_table.clear();
+        for (id, &marked) in wmark.iter().enumerate().rev() {
+            if marked {
+                self.weight_table.insert(weight_key(self.weights[id]), id as WeightId);
+            } else {
+                // Poison the slot: a read through a dangling id shows up
+                // as NaN instead of a plausible stale value.
+                self.weights[id] = Complex::new(f64::NAN, f64::NAN);
+                self.wfree.push(id as WeightId);
+            }
+        }
+        self.stats.weights_reclaimed += (self.wfree.len() - free_before) as u64;
     }
 
     fn reset_compute_tables(&mut self) {
@@ -1572,6 +1650,75 @@ mod tests {
         dd.set_gc_threshold(1);
         assert!(dd.maybe_collect() > 0, "above threshold: collects");
         assert!(dd.stats().gc_runs >= 1);
+    }
+
+    /// A state with a non-trivial top weight: `U(θ, φ, λ)` on every qubit.
+    fn rotated_state(dd: &mut DdPackage, theta: f64) -> Edge {
+        let mut psi = dd.zero_state();
+        for q in 0..dd.num_qubits() {
+            let u = dd.gate_matrix(&Gate::U(theta, 0.3 * theta, -0.7).matrix(), &[q]);
+            psi = dd.multiply_mv(u, psi);
+        }
+        psi
+    }
+
+    #[test]
+    fn gc_keeps_the_weight_of_a_protected_terminal_edge() {
+        let mut dd = DdPackage::new(2);
+        let value = c64(0.3, -0.7);
+        let w = dd.intern_weight(value);
+        let edge = Edge { node: TERMINAL, weight: w };
+        dd.inc_ref(edge);
+        // Unprotected weights around it are garbage.
+        let _ = rotated_state(&mut dd, 0.9);
+        let live_before = dd.live_weights();
+        dd.collect_garbage();
+        assert!(dd.live_weights() < live_before, "dead weights must be reclaimed");
+        assert!(dd.stats().weights_reclaimed > 0);
+        assert_eq!(dd.weight(w), value, "a protected terminal edge keeps its weight");
+        assert_eq!(dd.intern_weight(value), w, "the survivor is still the canonical id");
+        dd.dec_ref(edge);
+        dd.collect_garbage();
+        assert_eq!(dd.live_weights(), 2, "only the canonical 0 and 1 remain");
+    }
+
+    #[test]
+    fn gc_keeps_the_top_weight_of_protected_roots() {
+        let mut dd = DdPackage::new(3);
+        let psi = rotated_state(&mut dd, 1.1);
+        assert_ne!(psi.weight, W_ONE, "the test needs a non-trivial top weight");
+        dd.inc_ref(psi);
+        let u = dd.gate_matrix(&Gate::U(0.4, 1.2, -0.5).matrix(), &[1]);
+        assert_ne!(u.weight, W_ONE);
+        dd.inc_ref_matrix(u);
+        let (top, state) = (dd.weight(psi.weight), dd.to_statevector(psi));
+        let (gate_top, gate) = (dd.weight(u.weight), dd.to_matrix(u));
+        for theta in [0.2, 0.5, 2.3] {
+            let _ = rotated_state(&mut dd, theta);
+        }
+        dd.collect_garbage();
+        assert!(dd.stats().weights_reclaimed > 0);
+        assert_eq!(dd.weight(psi.weight), top);
+        assert_eq!(dd.to_statevector(psi), state, "protected state must survive exactly");
+        assert_eq!(dd.weight(u.weight), gate_top);
+        assert!(dd.to_matrix(u).approx_eq_eps(&gate, 0.0), "protected gate must survive exactly");
+        // The survivors still work as operands.
+        let next = dd.multiply_mv(u, psi);
+        assert!((dd.vector_norm_sqr(next) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn gc_reuses_freed_weight_ids() {
+        let mut dd = DdPackage::new(3);
+        let mut arena = Vec::new();
+        for _ in 0..4 {
+            let _ = rotated_state(&mut dd, 0.77);
+            arena.push(dd.weights.len());
+            dd.collect_garbage();
+            assert_eq!(dd.live_weights(), 2);
+        }
+        assert!(arena[0] > 2);
+        assert!(arena.iter().all(|&len| len == arena[0]), "weight arena must stay flat: {arena:?}");
     }
 
     #[test]

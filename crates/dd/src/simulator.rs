@@ -372,10 +372,12 @@ fn flush_dd_metrics(package: &DdPackage, final_nodes: usize, peak_nodes: usize) 
     qukit_obs::counter_add("qukit_dd_gc_events_total", stats.gc_events);
     qukit_obs::counter_add("qukit_dd_gc_runs_total", stats.gc_runs);
     qukit_obs::counter_add("qukit_dd_gc_reclaimed_total", stats.gc_reclaimed);
+    qukit_obs::counter_add("qukit_dd_gc_weights_reclaimed_total", stats.weights_reclaimed);
     qukit_obs::gauge_set("qukit_dd_nodes", final_nodes as f64);
     qukit_obs::gauge_set("qukit_dd_peak_nodes", peak_nodes as f64);
     qukit_obs::gauge_set("qukit_dd_live_nodes", package.live_nodes() as f64);
     qukit_obs::gauge_set("qukit_dd_peak_live_nodes", package.peak_live_nodes() as f64);
+    qukit_obs::gauge_set("qukit_dd_weights", package.live_weights() as f64);
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@
 //! * [`WeightTable`] — an open-addressed index of canonical complex
 //!   weights keyed by their tolerance bucket, supporting the 9-bucket
 //!   neighbour probe that unifies values straddling a bucket boundary.
+//!   Like the unique tables it is rebuilt wholesale at every GC.
 
 use crate::package::Edge;
 
@@ -191,7 +192,9 @@ struct WeightSlot {
 /// Open-addressed index of canonical complex weights keyed by tolerance
 /// bucket. Unlike a plain map it tolerates several entries under the same
 /// bucket key (linear probing just walks past non-matching values), so a
-/// bucket can never silently lose an earlier canonical weight.
+/// bucket can never silently lose an earlier canonical weight. Deletion
+/// happens only wholesale, as in [`UniqueTable`]: the GC sweep clears the
+/// table and reinserts the surviving weights.
 #[derive(Debug)]
 pub(crate) struct WeightTable {
     slots: Box<[WeightSlot]>,
@@ -260,6 +263,13 @@ impl WeightTable {
         }
         self.slots[i] = slot;
     }
+
+    /// Drops every stored id (capacity is kept — the GC rebuild refills
+    /// a table of the same size).
+    pub(crate) fn clear(&mut self) {
+        self.slots.fill(EMPTY_WEIGHT);
+        self.len = 0;
+    }
 }
 
 #[cfg(test)]
@@ -325,5 +335,9 @@ mod tests {
         }
         assert_eq!(table.find((100, 100), |id| id == 100), Some(100));
         assert_eq!(table.find((5, -3), |id| id == 1), Some(1));
+        table.clear();
+        assert_eq!(table.find((5, -3), |_| true), None);
+        table.insert((5, -3), 7);
+        assert_eq!(table.find((5, -3), |id| id == 7), Some(7));
     }
 }

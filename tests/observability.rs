@@ -81,6 +81,9 @@ fn instrumented_ghz_execution_lights_up_every_layer() {
     assert!(gauge("qukit_dd_peak_live_nodes") >= gauge("qukit_dd_live_nodes"));
     assert!(snapshot.counters.contains_key("qukit_dd_gc_runs_total"));
     assert!(snapshot.counters.contains_key("qukit_dd_gc_reclaimed_total"));
+    // Weight telemetry: at least the canonical 0 and 1 are live.
+    assert!(gauge("qukit_dd_weights") >= 2.0);
+    assert!(snapshot.counters.contains_key("qukit_dd_gc_weights_reclaimed_total"));
 
     // Spans were recorded and the whole snapshot round-trips as JSON.
     assert!(snapshot.trace.iter().any(|e| e.name == "transpile"));
