@@ -1,17 +1,17 @@
 //! Density-matrix simulation.
 //!
 //! [`DensityMatrix`] evolves the full mixed state `ρ`, applying unitary
-//! gates as `UρU†` and noise channels *exactly* as `Σ_i K_i ρ K_i†` — the
-//! deterministic counterpart to the trajectory sampling in
-//! [`crate::simulator::QasmSimulator`]. Exponentially more expensive
-//! (`4^n` entries), it is the ground truth the stochastic noise tests are
-//! validated against.
+//! gates as `UρU†` and noise channels *exactly* as `Σ_i K_i ρ K_i†`, each
+//! locally on the row and column bits it touches — the deterministic
+//! counterpart to the sampled noise of [`crate::simulator::QasmSimulator`].
+//! Exponentially more expensive (`4^n` entries), it is the ground truth
+//! the stochastic noise tests are validated against.
 
 use crate::error::{AerError, Result};
 use crate::noise::NoiseModel;
+use crate::simd::simd_default;
 use qukit_terra::circuit::QuantumCircuit;
 use qukit_terra::complex::Complex;
-use qukit_terra::instruction::Operation;
 use qukit_terra::matrix::Matrix;
 
 const MAX_QUBITS: usize = 12;
@@ -75,38 +75,40 @@ impl DensityMatrix {
         self.rho.matmul(&self.rho).trace().re
     }
 
-    /// Applies a unitary on the given qubits: `ρ → UρU†`.
-    ///
-    /// Treats the row-major `4^n` array as a `2n`-qubit statevector
-    /// (column index = bits `0..n`, row index = bits `n..2n`) and applies
-    /// `U` to the row bits and `conj(U)` to the column bits — two
-    /// `O(4^n · 2^k)` sweeps instead of the `O(8^n)` embed-and-matmul.
+    /// Applies a unitary on the given qubits: `ρ → UρU†`, the channel with
+    /// the one Kraus operator `U`.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
     pub fn apply_unitary(&mut self, matrix: &Matrix, qubits: &[usize]) {
-        let n = self.num_qubits;
-        assert_eq!(matrix.rows(), 1usize << qubits.len(), "operator dimension mismatch");
-        let row_qubits: Vec<usize> = qubits.iter().map(|&q| q + n).collect();
-        let flat = self.rho.as_mut_slice();
-        qukit_terra::reference::apply_gate(flat, matrix, &row_qubits);
-        qukit_terra::reference::apply_gate(flat, &matrix.conj(), qubits);
+        self.apply_kraus(std::slice::from_ref(matrix), qubits);
     }
 
-    /// Applies a Kraus channel exactly: `ρ → Σ_i K_i ρ K_i†`.
+    /// Applies a Kraus channel exactly: `ρ → Σ_i K_i ρ K_i†`. Each term
+    /// treats a copy of the row-major `4^n` array as a `2n`-qubit state
+    /// (column index = bits `0..n`, row index = bits `n..2n`) and applies
+    /// `K_i` to the row bits and `conj(K_i)` to the column bits — two
+    /// `O(4^n · 2^k)` kernel sweeps instead of an `O(8^n)` matmul.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
     pub fn apply_kraus(&mut self, kraus: &[Matrix], qubits: &[usize]) {
-        let dim = 1usize << self.num_qubits;
-        let mut next = Matrix::zeros(dim, dim);
+        let rows: Vec<usize> = qubits.iter().map(|&q| q + self.num_qubits).collect();
+        let rho = self.rho.as_mut_slice();
+        let mut sum = vec![Complex::ZERO; rho.len()];
+        let mut term = Vec::with_capacity(rho.len());
         for k in kraus {
-            let full = embed(k, qubits, self.num_qubits);
-            next = next.add(&full.matmul(&self.rho).matmul(&full.dagger()));
+            term.clear();
+            term.extend_from_slice(rho);
+            crate::parallel::apply_matrix(&mut term, k, &rows, simd_default());
+            crate::parallel::apply_matrix(&mut term, &k.conj(), qubits, simd_default());
+            for (acc, t) in sum.iter_mut().zip(&term) {
+                *acc += *t;
+            }
         }
-        self.rho = next;
+        rho.copy_from_slice(&sum);
     }
 
     /// Probability of measuring qubit `q` as 1 (from the diagonal).
@@ -128,39 +130,6 @@ impl DensityMatrix {
     pub fn expectation(&self, observable: &Matrix) -> f64 {
         observable.matmul(&self.rho).trace().re
     }
-}
-
-/// Embeds a k-qubit operator on `qubits` into the full `n`-qubit space.
-fn embed(matrix: &Matrix, qubits: &[usize], num_qubits: usize) -> Matrix {
-    let dim = 1usize << num_qubits;
-    let k = qubits.len();
-    let kdim = 1usize << k;
-    assert_eq!(matrix.rows(), kdim, "operator dimension mismatch");
-    let mut full = Matrix::zeros(dim, dim);
-    let op_mask: usize = qubits.iter().map(|&q| 1usize << q).sum();
-    for row in 0..dim {
-        let rest = row & !op_mask;
-        let mut sub_row = 0usize;
-        for (t, &q) in qubits.iter().enumerate() {
-            if (row >> q) & 1 == 1 {
-                sub_row |= 1 << t;
-            }
-        }
-        for sub_col in 0..kdim {
-            let value = matrix[(sub_row, sub_col)];
-            if value.is_approx_zero() {
-                continue;
-            }
-            let mut col = rest;
-            for (t, &q) in qubits.iter().enumerate() {
-                if (sub_col >> t) & 1 == 1 {
-                    col |= 1 << q;
-                }
-            }
-            full[(row, col)] = value;
-        }
-    }
-    full
 }
 
 /// Exact noisy simulator over density matrices.
@@ -202,8 +171,7 @@ impl DensityMatrixSimulator {
         self
     }
 
-    /// Sets the statevector engine configuration used for noiseless runs
-    /// (builder style).
+    /// Sets the statevector engine configuration (builder style).
     pub fn with_parallel(mut self, parallel: crate::parallel::ParallelConfig) -> Self {
         self.parallel = parallel;
         self
@@ -228,42 +196,22 @@ impl DensityMatrixSimulator {
         let n = circuit.num_qubits();
         let mut rho = DensityMatrix::new(n);
         let mut tally = crate::simulator::GateTally::default();
-        if self.noise.as_ref().is_none_or(NoiseModel::is_ideal) {
-            // Noiseless: the two-sided kernels of the statevector engine
-            // over the flat `4^n` array.
-            crate::parallel::evolve_density(
-                rho.rho.as_mut_slice(),
-                circuit.instructions(),
-                n,
-                &self.parallel,
-                &mut tally,
-            )?;
-        } else {
-            // Each gate rewrites the full `2^n × 2^n` operator.
-            let entries = 1u64 << (2 * n);
-            for inst in circuit.instructions() {
-                match &inst.op {
-                    Operation::Gate(g) if inst.condition.is_none() => {
-                        rho.apply_unitary(&g.matrix(), &inst.qubits);
-                        tally.record(entries);
-                        if let Some(noise) = &self.noise {
-                            if let Some(error) = noise.error_for(g.name(), &inst.qubits) {
-                                if error.num_qubits() == inst.qubits.len() {
-                                    rho.apply_kraus(error.kraus_operators(), &inst.qubits);
-                                }
-                            }
-                        }
-                    }
-                    Operation::Barrier => {}
-                    other => {
-                        return Err(AerError::UnsupportedInstruction {
-                            name: other.name().to_owned(),
-                            simulator: "density matrix simulator",
-                        })
-                    }
-                }
-            }
+        // The gates between two noisy ones run on the two-sided kernels of
+        // the statevector engine over the flat `4^n` array; each channel
+        // then applies locally on the bits it touches.
+        let insts = circuit.instructions();
+        let mut from = 0;
+        for (i, inst) in insts.iter().enumerate() {
+            let Some(error) = self.noise.as_ref().and_then(|noise| noise.channel_for(inst)) else {
+                continue;
+            };
+            let flat = rho.rho.as_mut_slice();
+            crate::parallel::evolve_density(flat, &insts[from..=i], n, &self.parallel, &mut tally)?;
+            rho.apply_kraus(error.kraus_operators(), &inst.qubits);
+            from = i + 1;
         }
+        let flat = rho.rho.as_mut_slice();
+        crate::parallel::evolve_density(flat, &insts[from..], n, &self.parallel, &mut tally)?;
         tally.flush("qukit_aer_density_gates_total");
         Ok(rho)
     }

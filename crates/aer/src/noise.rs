@@ -7,13 +7,19 @@
 //! channels in Kraus form, a per-gate [`NoiseModel`], and classical readout
 //! errors.
 //!
-//! Statevector-based simulation applies channels stochastically (quantum
-//! trajectories): Kraus operator `K_i` is selected with probability
-//! `‖K_i|ψ⟩‖²` and the state renormalized — which reproduces the density
-//! operator `Σ_i K_i ρ K_i†` in expectation. The density-matrix simulator
-//! in [`crate::density`] applies the same channels exactly.
+//! Statevector-based simulation applies channels stochastically, which
+//! reproduces the density operator `Σ_i K_i ρ K_i†` in expectation. A
+//! mixture of unitaries (depolarizing, Pauli and bit/phase flips: every
+//! channel of the fake devices) has state-independent branch
+//! probabilities, so [`crate::simulator::QasmSimulator`] draws each shot's
+//! non-identity branches before simulating and evolves each distinct error
+//! pattern once. A general channel (amplitude or phase damping) picks
+//! Kraus operator `K_i` with probability `‖K_i|ψ⟩‖²` and renormalizes, on
+//! per-shot trajectories. The density-matrix simulator in
+//! [`crate::density`] applies the same channels exactly.
 
 use qukit_terra::complex::{c64, Complex};
+use qukit_terra::instruction::{Instruction, Operation};
 use qukit_terra::matrix::Matrix;
 use rand::Rng;
 use std::collections::HashMap;
@@ -33,10 +39,37 @@ pub struct QuantumError {
     kraus: Vec<Matrix>,
     num_qubits: usize,
     /// When every Kraus operator is a scaled unitary, the channel is a
-    /// probabilistic mixture of unitaries: `(probability, unitary)` pairs.
-    /// Trajectory simulation then samples the branch without touching the
-    /// state (probabilities are state-independent).
-    mixed_unitary: Option<Vec<(f64, Matrix)>>,
+    /// probabilistic mixture of unitaries, and these are its non-identity
+    /// branches; `None` for a general channel.
+    pub(crate) unitary_errors: Option<UnitaryErrors>,
+}
+
+/// The non-identity branches of a mixed-unitary channel as `(probability,
+/// unitary)` pairs; the identity carries the remaining weight. The
+/// probabilities do not depend on the state, so a branch can be drawn
+/// without touching it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct UnitaryErrors {
+    total: f64,
+    pub(crate) branches: Vec<(f64, Matrix)>,
+}
+
+impl UnitaryErrors {
+    /// Draws a branch: `Some(i)` for `branches[i]`, `None` for the
+    /// identity.
+    pub(crate) fn draw(&self, rng: &mut impl Rng) -> Option<usize> {
+        let mut r = rng.gen::<f64>();
+        if r >= self.total {
+            return None;
+        }
+        for (i, (p, _)) in self.branches.iter().enumerate() {
+            if r < *p {
+                return Some(i);
+            }
+            r -= p;
+        }
+        Some(self.branches.len() - 1)
+    }
 }
 
 impl QuantumError {
@@ -56,8 +89,8 @@ impl QuantumError {
             assert_eq!(k.rows(), dim, "inconsistent Kraus dimensions");
             assert_eq!(k.cols(), dim, "Kraus operators must be square");
         }
-        let mixed_unitary = detect_mixed_unitary(&kraus);
-        let channel = Self { kraus, num_qubits, mixed_unitary };
+        let unitary_errors = detect_mixed_unitary(&kraus);
+        let channel = Self { kraus, num_qubits, unitary_errors };
         assert!(channel.is_cptp(), "Kraus operators do not sum to identity");
         channel
     }
@@ -229,11 +262,10 @@ impl QuantumError {
     /// trajectory step): selects Kraus operator `i` with probability
     /// `‖K_i|ψ⟩‖²` and renormalizes.
     ///
-    /// Mixed-unitary channels (depolarizing, Pauli errors) take a fast
-    /// path: branch probabilities are state-independent, so the branch is
-    /// sampled directly and one unitary applied. General channels compute
-    /// each branch probability as `⟨ψ|K_i†K_i|ψ⟩` via a local reduction —
-    /// no copy of the state is made either way.
+    /// A mixed-unitary channel draws its branch without reading the state
+    /// and leaves the state untouched on the identity. A general channel
+    /// applies each Kraus operator to a copy of the state in turn, until
+    /// the running norm passes the drawn value.
     ///
     /// # Panics
     ///
@@ -245,43 +277,33 @@ impl QuantumError {
         rng: &mut impl Rng,
     ) {
         assert_eq!(qubits.len(), self.num_qubits, "channel arity mismatch");
-        if self.kraus.len() == 1 {
-            state.apply_matrix(&self.kraus[0], qubits);
-            return;
-        }
-        if let Some(branches) = &self.mixed_unitary {
-            let mut r = rng.gen::<f64>();
-            let mut chosen = branches.len() - 1;
-            for (i, (p, _)) in branches.iter().enumerate() {
-                if r < *p {
-                    chosen = i;
-                    break;
-                }
-                r -= p;
+        if let Some(errors) = &self.unitary_errors {
+            if let Some(i) = errors.draw(rng) {
+                state.apply_matrix(&errors.branches[i].1, qubits);
             }
-            state.apply_matrix(&branches[chosen].1, qubits);
             return;
         }
-        // General channel: p_i = <psi| K_i† K_i |psi> computed locally.
+        // General channel: branch i has probability ‖K_i|ψ⟩‖².
         let mut r = rng.gen::<f64>();
-        let mut chosen = self.kraus.len() - 1;
+        let last = self.kraus.len() - 1;
         for (i, k) in self.kraus.iter().enumerate() {
-            let mu = k.dagger().matmul(k);
-            let p = state.local_expectation(&mu, qubits);
-            if r < p {
-                chosen = i;
-                break;
+            let mut branch = state.clone();
+            branch.apply_matrix(k, qubits);
+            let p = branch.norm_sqr();
+            if r < p || i == last {
+                *state = branch;
+                state.renormalize();
+                return;
             }
             r -= p;
         }
-        state.apply_matrix(&self.kraus[chosen], qubits);
-        state.renormalize();
     }
 }
 
 /// Detects whether every Kraus operator is a scaled unitary; if so returns
-/// the `(probability, unitary)` mixture.
-fn detect_mixed_unitary(kraus: &[Matrix]) -> Option<Vec<(f64, Matrix)>> {
+/// the mixture's non-identity branches (a unitary equal to the identity up
+/// to a global phase is the identity).
+fn detect_mixed_unitary(kraus: &[Matrix]) -> Option<UnitaryErrors> {
     let dim = kraus[0].rows();
     let mut branches = Vec::with_capacity(kraus.len());
     for k in kraus {
@@ -294,11 +316,16 @@ fn detect_mixed_unitary(kraus: &[Matrix]) -> Option<Vec<(f64, Matrix)>> {
         if !mu.approx_eq_eps(&scaled_identity, 1e-9) {
             return None;
         }
-        if lambda > 1e-15 {
-            branches.push((lambda, k.scale(c64(1.0 / lambda.sqrt(), 0.0))));
+        let unitary = k.scale(c64(1.0 / lambda.sqrt(), 0.0));
+        let phase = unitary[(0, 0)];
+        let identity = unitary.as_slice().iter().enumerate().all(|(e, &u)| {
+            u.approx_eq_eps(if e % (dim + 1) == 0 { phase } else { Complex::ZERO }, 1e-12)
+        });
+        if lambda > 1e-15 && !identity {
+            branches.push((lambda, unitary));
         }
     }
-    Some(branches)
+    Some(UnitaryErrors { total: branches.iter().map(|(p, _)| p).sum(), branches })
 }
 
 /// Classical readout error: the recorded bit differs from the measured one.
@@ -415,6 +442,13 @@ impl NoiseModel {
     /// The readout error, if any.
     pub fn readout_error(&self) -> Option<ReadoutError> {
         self.readout
+    }
+
+    /// The channel that follows one circuit instruction: the error of a
+    /// gate whose arity it matches, `None` for anything else.
+    pub(crate) fn channel_for(&self, inst: &Instruction) -> Option<&QuantumError> {
+        let Operation::Gate(g) = &inst.op else { return None };
+        self.error_for(g.name(), &inst.qubits).filter(|e| e.num_qubits() == inst.qubits.len())
     }
 
     /// Looks up the error channel for a gate application.

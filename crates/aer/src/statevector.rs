@@ -1,12 +1,11 @@
 //! Statevector representation and manipulation.
 //!
 //! [`Statevector`] is the mutable quantum-state object the simulators in
-//! this crate return and the trajectory path evolves: gate application
-//! via bit-sliced updates, projective measurement with collapse, reset,
-//! expectation values and fidelities. Ideal circuits evolve on the
-//! kernels of [`crate::parallel`] instead.
+//! this crate return and the trajectory path evolves: gate application on
+//! the kernels of [`crate::parallel`], projective measurement with
+//! collapse, reset, expectation values and fidelities.
 
-use crate::simd::{complex_mul2, neg_im_vec, simd_default, F64x4};
+use crate::simd::simd_default;
 use qukit_terra::complex::Complex;
 use qukit_terra::matrix::Matrix;
 use rand::Rng;
@@ -65,105 +64,28 @@ impl Statevector {
         self.amplitudes[index]
     }
 
-    /// Applies a k-qubit gate matrix to the given qubits.
-    ///
-    /// Optimized single-qubit and controlled-NOT paths avoid the general
-    /// gather/scatter; everything else routes through the generic kernel.
+    /// Applies a k-qubit gate matrix to the given qubits, through the
+    /// kernels of [`crate::parallel`] on one worker.
     ///
     /// # Panics
     ///
-    /// Panics on dimension mismatch or out-of-range qubits.
+    /// Panics on dimension mismatch and on repeated or out-of-range qubits.
     pub fn apply_matrix(&mut self, matrix: &Matrix, qubits: &[usize]) {
-        match qubits.len() {
-            1 => self.apply_1q(matrix, qubits[0]),
-            _ => qukit_terra::reference::apply_gate(&mut self.amplitudes, matrix, qubits),
-        }
+        crate::parallel::apply_matrix(&mut self.amplitudes, matrix, qubits, simd_default());
     }
 
-    /// Applies a standard gate.
+    /// Applies a standard gate (see [`Statevector::apply_matrix`]).
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range qubits.
+    /// Panics on repeated or out-of-range qubits.
     pub fn apply_gate(&mut self, gate: qukit_terra::gate::Gate, qubits: &[usize]) {
-        use qukit_terra::gate::Gate;
-        match gate {
-            Gate::CX => self.apply_cx(qubits[0], qubits[1]),
-            Gate::X => self.apply_x(qubits[0]),
-            _ => self.apply_matrix(&gate.matrix(), qubits),
-        }
+        self.apply_matrix(&gate.matrix(), qubits);
     }
 
-    fn apply_1q(&mut self, m: &Matrix, q: usize) {
-        assert!(q < self.num_qubits, "qubit {q} out of range");
-        let (m00, m01, m10, m11) = (m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]);
-        let stride = 1usize << q;
-        let dim = self.amplitudes.len();
-        if simd_default() && stride >= 2 && dim >= 256 {
-            // Two amplitude pairs per lane op. Runs are stride-long and
-            // stride is a power of two ≥ 2, so there is never a tail. The
-            // lane formulas perform exactly the scalar ops below per
-            // element, keeping this path bit-identical to the fallback.
-            // States under 256 amplitudes stay on the scalar loop: they
-            // are L1-resident either way and the lane marshalling
-            // overhead outweighs any vector win at that size.
-            let (n00, n01) = (neg_im_vec(m00.im), neg_im_vec(m01.im));
-            let (n10, n11) = (neg_im_vec(m10.im), neg_im_vec(m11.im));
-            let mut base = 0usize;
-            while base < dim {
-                let (lo, hi) = self.amplitudes[base..base + (stride << 1)].split_at_mut(stride);
-                let mut i = 0usize;
-                while i + 2 <= stride {
-                    let a = F64x4([lo[i].re, lo[i].im, lo[i + 1].re, lo[i + 1].im]);
-                    let b = F64x4([hi[i].re, hi[i].im, hi[i + 1].re, hi[i + 1].im]);
-                    let ra = complex_mul2(a, m00.re, n00).add(complex_mul2(b, m01.re, n01));
-                    let rb = complex_mul2(a, m10.re, n10).add(complex_mul2(b, m11.re, n11));
-                    lo[i] = Complex::new(ra.0[0], ra.0[1]);
-                    lo[i + 1] = Complex::new(ra.0[2], ra.0[3]);
-                    hi[i] = Complex::new(rb.0[0], rb.0[1]);
-                    hi[i + 1] = Complex::new(rb.0[2], rb.0[3]);
-                    i += 2;
-                }
-                base += stride << 1;
-            }
-            return;
-        }
-        let mut base = 0usize;
-        while base < dim {
-            for offset in base..base + stride {
-                let a = self.amplitudes[offset];
-                let b = self.amplitudes[offset + stride];
-                self.amplitudes[offset] = m00 * a + m01 * b;
-                self.amplitudes[offset + stride] = m10 * a + m11 * b;
-            }
-            base += stride << 1;
-        }
-    }
-
-    fn apply_x(&mut self, q: usize) {
-        assert!(q < self.num_qubits, "qubit {q} out of range");
-        let stride = 1usize << q;
-        let dim = self.amplitudes.len();
-        let mut base = 0usize;
-        while base < dim {
-            for offset in base..base + stride {
-                self.amplitudes.swap(offset, offset + stride);
-            }
-            base += stride << 1;
-        }
-    }
-
-    fn apply_cx(&mut self, control: usize, target: usize) {
-        assert!(control < self.num_qubits && target < self.num_qubits, "qubit out of range");
-        assert_ne!(control, target, "control equals target");
-        let cmask = 1usize << control;
-        let tmask = 1usize << target;
-        for idx in 0..self.amplitudes.len() {
-            // Visit each swapped pair once: require control set, target 0.
-            if idx & cmask != 0 && idx & tmask == 0 {
-                self.amplitudes.swap(idx, idx | tmask);
-            }
-        }
+    /// Mutable access to the amplitudes, for the engine's kernels.
+    pub(crate) fn amplitudes_mut(&mut self) -> &mut [Complex] {
+        &mut self.amplitudes
     }
 
     /// Multiplies the whole state by `e^{iφ}`.
@@ -223,7 +145,7 @@ impl Statevector {
     /// Resets qubit `q` to `|0⟩` (measure + conditional flip).
     pub fn reset(&mut self, q: usize, rng: &mut impl Rng) {
         if self.measure(q, rng) {
-            self.apply_x(q);
+            self.apply_gate(qukit_terra::gate::Gate::X, &[q]);
         }
     }
 
@@ -270,51 +192,6 @@ impl Statevector {
             acc += self.amplitudes[target].conj() * phase * *amp;
         }
         acc.re
-    }
-
-    /// Local expectation `⟨ψ|M|ψ⟩` of a Hermitian k-qubit operator acting
-    /// on `qubits` (no state copy; used by trajectory noise sampling).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or out-of-range qubits.
-    pub fn local_expectation(&self, matrix: &Matrix, qubits: &[usize]) -> f64 {
-        let n = self.num_qubits;
-        let k = qubits.len();
-        assert_eq!(matrix.rows(), 1 << k, "operator dimension mismatch");
-        for &q in qubits {
-            assert!(q < n, "qubit {q} out of range");
-        }
-        let dim = 1usize << k;
-        let mut sorted = qubits.to_vec();
-        sorted.sort_unstable();
-        let mut acc = 0.0f64;
-        let mut gathered = vec![Complex::ZERO; dim];
-        for b in 0..(1usize << (n - k)) {
-            let mut base = b;
-            for &q in &sorted {
-                let low = base & ((1 << q) - 1);
-                let high = (base >> q) << (q + 1);
-                base = high | low;
-            }
-            for (j, slot) in gathered.iter_mut().enumerate() {
-                let mut idx = base;
-                for (t, &q) in qubits.iter().enumerate() {
-                    if (j >> t) & 1 == 1 {
-                        idx |= 1 << q;
-                    }
-                }
-                *slot = self.amplitudes[idx];
-            }
-            for j in 0..dim {
-                let mut mv = Complex::ZERO;
-                for (jp, &amp) in gathered.iter().enumerate() {
-                    mv += matrix[(j, jp)] * amp;
-                }
-                acc += (gathered[j].conj() * mv).re;
-            }
-        }
-        acc
     }
 
     /// Rescales the state to unit norm in place (no-op on a zero state).
@@ -412,10 +289,9 @@ mod tests {
 
     #[test]
     fn apply_1q_is_bit_identical_to_scalar_formula() {
-        // Whichever path apply_1q takes (SIMD lanes or the scalar loop),
-        // the result must equal the scalar butterfly formula bit for bit.
-        // 9 qubits keeps the state above the 256-amplitude floor below
-        // which apply_1q always takes the scalar loop.
+        // Whichever butterfly the kernel path picks (SIMD lanes or the
+        // scalar loop), the result must equal the scalar butterfly formula
+        // bit for bit.
         let mut sv = Statevector::new(9);
         for q in 0..9 {
             sv.apply_gate(Gate::H, &[q]);

@@ -261,6 +261,15 @@ impl Span {
         self
     }
 
+    /// Appends `key=value` to the detail string, for an attribute known
+    /// only after the span opened (a no-op on inert spans).
+    pub fn record(&mut self, key: &str, value: impl std::fmt::Display) {
+        if let Some(inner) = self.inner.as_mut() {
+            let sep = if inner.detail.is_empty() { "" } else { " " };
+            inner.detail = format!("{}{sep}{key}={value}", inner.detail);
+        }
+    }
+
     /// This span's id (0 for inert spans) — use it to parent manual
     /// events onto a live span.
     pub fn span_id(&self) -> u64 {

@@ -20,7 +20,7 @@ use crate::circuit::QuantumCircuit;
 use crate::coupling::CouplingMap;
 use crate::error::{Result, TerraError};
 use crate::gate::Gate;
-use crate::instruction::Instruction;
+use crate::instruction::{Instruction, Operation};
 use crate::layout::Layout;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -413,7 +413,7 @@ impl<'a> MappingContext<'a> {
     }
 
     fn is_executable(&self, inst: &Instruction) -> bool {
-        if inst.qubits.len() < 2 {
+        if !inst.op.is_gate() || inst.qubits.len() < 2 {
             return true;
         }
         let (pc, pt) = self.physical_pair(inst);
@@ -476,7 +476,33 @@ impl<'a> MappingContext<'a> {
             }
         }
         let ready: VecDeque<usize> = (0..insts.len()).filter(|&i| preds[i] == 0).collect();
-        DependencyState { preds, succs, ready, done: vec![false; insts.len()] }
+        DependencyState { preds, succs, ready, done: vec![false; insts.len()], held: Vec::new() }
+    }
+
+    /// Executes ready instruction `i` and marks it done. A terminal measure
+    /// (no later instruction on its qubit or its clbit) is held instead of
+    /// emitted: [`Self::emit_held`] places it after routing, on the final
+    /// layout, so no SWAP inserted later passes through a measured qubit
+    /// and the routed circuit stays measurement-terminal. A measure whose
+    /// clbit a later conditional reads has a successor and stays in place.
+    fn execute(&mut self, dep: &mut DependencyState, i: usize) -> Result<()> {
+        let inst = &self.source.instructions()[i];
+        dep.ready.retain(|&x| x != i);
+        if matches!(inst.op, Operation::Measure) && dep.succs[i].is_empty() {
+            dep.held.push(i);
+        } else {
+            self.emit_relabel(inst)?;
+        }
+        self.complete(dep, i);
+        Ok(())
+    }
+
+    /// Emits the held terminal measures on the final layout.
+    fn emit_held(&mut self, dep: &DependencyState) -> Result<()> {
+        for &i in &dep.held {
+            self.emit_relabel(&self.source.instructions()[i])?;
+        }
+        Ok(())
     }
 
     /// Marks `i` executed, promoting any successors that become ready.
@@ -529,11 +555,8 @@ impl<'a> MappingContext<'a> {
                     if dep.done[i] {
                         continue;
                     }
-                    let inst = &insts[i];
-                    if !inst.op.is_gate() || inst.qubits.len() < 2 || self.is_executable(inst) {
-                        dep.ready.retain(|&x| x != i);
-                        self.emit_relabel(inst)?;
-                        self.complete(&mut dep, i);
+                    if self.is_executable(&insts[i]) {
+                        self.execute(&mut dep, i)?;
                         progressed = true;
                         stall_counter = 0;
                         // A gate executed: the congestion picture changed.
@@ -622,7 +645,7 @@ impl<'a> MappingContext<'a> {
                 swaps_since_reset = 0;
             }
         }
-        Ok(())
+        self.emit_held(&dep)
     }
 
     // --- A* mapper ---------------------------------------------------------
@@ -640,11 +663,8 @@ impl<'a> MappingContext<'a> {
                     if dep.done[i] {
                         continue;
                     }
-                    let inst = &insts[i];
-                    if !inst.op.is_gate() || inst.qubits.len() < 2 || self.is_executable(inst) {
-                        dep.ready.retain(|&x| x != i);
-                        self.emit_relabel(inst)?;
-                        self.complete(&mut dep, i);
+                    if self.is_executable(&insts[i]) {
+                        self.execute(&mut dep, i)?;
                         progressed = true;
                     }
                 }
@@ -661,7 +681,7 @@ impl<'a> MappingContext<'a> {
             }
             // Loop continues; the layer is now executable.
         }
-        Ok(())
+        self.emit_held(&dep)
     }
 
     /// A* search for a minimal swap sequence making every gate in `layer`
@@ -763,6 +783,8 @@ struct DependencyState {
     succs: Vec<Vec<usize>>,
     ready: VecDeque<usize>,
     done: Vec<bool>,
+    /// Terminal measures awaiting emission on the final layout.
+    held: Vec<usize>,
 }
 
 /// Decomposes the SWAP gates a mapper inserted into CNOTs and rewrites every
@@ -957,6 +979,80 @@ mod tests {
                 let logical = inst.clbits[0];
                 assert_eq!(inst.qubits[0], r.final_layout[logical]);
             }
+        }
+    }
+
+    /// `true` when no instruction touches a qubit after its measurement.
+    fn measurement_terminal(circuit: &QuantumCircuit) -> bool {
+        let mut measured = vec![false; circuit.num_qubits()];
+        for inst in circuit.instructions() {
+            if inst.qubits.iter().any(|&q| measured[q]) {
+                return false;
+            }
+            if matches!(inst.op, Operation::Measure) {
+                measured[inst.qubits[0]] = true;
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn routed_circuits_stay_measurement_terminal() {
+        // Each qubit is measured right after its last gate, so its measure
+        // is ready while the others still need SWAPs, which may pass
+        // through its physical qubit unless the router holds the measure.
+        let mut rng = StdRng::seed_from_u64(3);
+        for trial in 0..8 {
+            let n = 5;
+            let mut gates = Vec::new();
+            for _ in 0..24 {
+                let a = rng.gen_range(0..n);
+                let b = (a + rng.gen_range(1..n)) % n;
+                gates.push((a, b));
+            }
+            let mut circ = QuantumCircuit::with_size(n, n);
+            for (i, &(a, b)) in gates.iter().enumerate() {
+                circ.h(a).unwrap();
+                circ.cx(a, b).unwrap();
+                for q in [a, b] {
+                    if gates[i + 1..].iter().all(|&(x, y)| x != q && y != q) {
+                        circ.measure(q, q).unwrap();
+                    }
+                }
+            }
+            for map in [CouplingMap::line(n), CouplingMap::ibm_qx5()] {
+                for kind in [MapperKind::AStar, MapperKind::Sabre] {
+                    let r = map_circuit(&circ, &map, kind, &InitialLayout::Trivial).unwrap();
+                    assert!(measurement_terminal(&r.circuit), "{kind:?} trial {trial}");
+                    for inst in r.circuit.instructions() {
+                        if matches!(inst.op, Operation::Measure) {
+                            assert_eq!(inst.qubits[0], r.final_layout[inst.clbits[0]]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_measure_read_by_a_later_conditional_stays_in_place() {
+        let mut circ = QuantumCircuit::with_size(3, 3);
+        circ.h(0).unwrap();
+        circ.measure(0, 0).unwrap();
+        circ.append_conditional(Gate::X, &[2], "c", 1).unwrap();
+        circ.cx(0, 2).unwrap();
+        circ.measure(1, 1).unwrap();
+        circ.measure(2, 2).unwrap();
+        for kind in [MapperKind::AStar, MapperKind::Sabre] {
+            let r =
+                map_circuit(&circ, &CouplingMap::line(3), kind, &InitialLayout::Trivial).unwrap();
+            let insts = r.circuit.instructions();
+            let position = |pred: &dyn Fn(&Instruction) -> bool| {
+                insts.iter().position(pred).expect("instruction kept")
+            };
+            let first_measure = position(&|inst| inst.clbits == [0]);
+            let conditional = position(&|inst| inst.condition.is_some());
+            assert!(first_measure < conditional, "{kind:?}: the read measure moved");
         }
     }
 

@@ -5,6 +5,8 @@
 //! toggles the process-global metrics registry; sharing a process with
 //! unrelated tests would race their view of the registry.
 
+use qukit::aer::noise::{NoiseModel, QuantumError};
+use qukit::aer::simulator::QasmSimulator;
 use qukit::job::{ExecutorConfig, JobExecutor};
 use qukit::provider::Provider;
 use qukit::terra::circuit::QuantumCircuit;
@@ -42,6 +44,31 @@ fn instrumented_ghz_execution_lights_up_every_layer() {
     let state = qukit::dd::simulator::DdSimulator::new().run(&ghz(5)).expect("dd runs");
     assert!(state.node_count() > 0);
 
+    // Aer method choice: a reset under amplitude damping needs per-shot
+    // trajectories, and routed circuits on a noiseless device stay
+    // measurement-terminal, so none of them falls onto trajectories.
+    let mut reset = QuantumCircuit::with_size(2, 2);
+    reset.h(0).unwrap();
+    reset.reset(0).unwrap();
+    reset.cx(0, 1).unwrap();
+    reset.measure_all();
+    let mut damping = NoiseModel::new();
+    damping.add_all_qubit_error("h", QuantumError::amplitude_damping(0.1));
+    QasmSimulator::new().with_noise(damping).with_seed(3).run(&reset, 64).expect("runs");
+    let trajectories = |snapshot: &qukit_obs::Snapshot| -> u64 {
+        let series = snapshot.counters.iter();
+        series.filter(|(name, _)| name.contains("method=\"trajectory\"")).map(|(_, n)| n).sum()
+    };
+    let before = trajectories(&qukit_obs::registry().snapshot());
+    let noiseless = qukit::backend::FakeDevice::ibmqx5().with_noise(NoiseModel::new());
+    for n in 3..=6 {
+        for mut circuit in [ghz(n), qukit::aqua::circuits::qft_circuit(n)] {
+            circuit.measure_all();
+            qukit::execute::execute(&circuit, &noiseless, 128).expect("noiseless run");
+        }
+    }
+    assert_eq!(trajectories(&qukit_obs::registry().snapshot()), before);
+
     let snapshot = qukit_obs::registry().snapshot();
     qukit_obs::set_enabled(false);
 
@@ -62,6 +89,29 @@ fn instrumented_ghz_execution_lights_up_every_layer() {
     assert!(counter("qukit_aer_qasm_runs_total") > 0);
     assert!(counter("qukit_aer_amplitudes_touched_total") > 0);
     assert!(counter("qukit_aer_shots_total") >= 512 + 256);
+
+    // Method counter: the noisy device run sampled error patterns on the
+    // terminal path, the ideal jobs took it without error sites, the reset
+    // circuit ran trajectories.
+    let method = |method: &str, reason: &str| {
+        counter(&format!("qukit_aer_method_total{{method=\"{method}\",reason=\"{reason}\"}}"))
+    };
+    assert!(method("terminal", "mixed_unitary") > 0);
+    assert!(method("terminal", "noiseless") > 0);
+    assert_eq!(method("trajectory", "reset"), 1);
+    // The noisy run's span reports how many distinct error patterns it
+    // evolved: the error-free one and at least one with an error.
+    let patterns = snapshot
+        .trace
+        .iter()
+        .filter(|e| e.name == "aer.qasm_run" && e.detail.contains("reason=mixed_unitary"))
+        .map(|e| {
+            let value = e.detail.split("patterns=").nth(1).expect("patterns attribute");
+            value.split(' ').next().unwrap().parse::<usize>().expect("pattern count")
+        })
+        .max()
+        .expect("noisy run span");
+    assert!(patterns > 1, "noisy GHZ evolved {patterns} pattern(s)");
 
     // Job service: the submission made it through the lifecycle.
     assert!(counter("qukit_core_jobs_submitted_total") > 0);
